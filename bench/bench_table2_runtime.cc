@@ -282,8 +282,8 @@ int Run(const bench::BenchFlags& flags) {
     }
 
     double answer_s = bench::TimeBest(iters, [&] {
-      Result<QueryAnswer> answer = wl.engine->Answer(wl.query);
-      CARL_CHECK_OK(answer.status());
+      QueryResponse response = wl.engine->Answer(QueryRequest(wl.query));
+      CARL_CHECK_OK(response.status);
     });
 
     // Incremental grounding on a single-admission delta (MIMIC only; the

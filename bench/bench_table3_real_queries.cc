@@ -29,7 +29,7 @@ namespace {
 
 constexpr char kBenchName[] = "table3_real_queries";
 
-void PrintAnswer(const char* name, const AteAnswer& answer,
+void PrintAteRow(const char* name, const AteAnswer& answer,
                  const char* unit, double scale) {
   bench::PrintRow({name,
                    StrFormat("%.2f%s", answer.naive.treated_mean * scale, unit),
@@ -48,9 +48,9 @@ AteAnswer RunQuery(const std::shared_ptr<QuerySession>& session,
   Result<std::unique_ptr<CarlEngine>> engine =
       CarlEngine::Create(session, std::move(*model));
   CARL_CHECK_OK(engine.status());
-  Result<QueryAnswer> answer = (*engine)->Answer(query);
-  CARL_CHECK_OK(answer.status());
-  return *answer->ate;
+  QueryResponse response = (*engine)->Answer(QueryRequest(query));
+  CARL_CHECK_OK(response.status);
+  return *response.answer.ate;
 }
 
 void ReportSession(const char* dataset, const QuerySession& session,
@@ -93,8 +93,8 @@ int Run(const bench::BenchFlags& flags) {
     AteAnswer len = RunQuery(session, *data, "Len[P] <= SelfPay[P]?");
     double rest_s = rest.Seconds();
 
-    PrintAnswer("MIMIC 1 (34-a)", death, "%", 100.0);
-    PrintAnswer("MIMIC 2 (34-b)", len, "h", 1.0);
+    PrintAteRow("MIMIC 1 (34-a)", death, "%", 100.0);
+    PrintAteRow("MIMIC 2 (34-b)", len, "h", 1.0);
     bench::PrintRule();
     ReportSession("MIMIC(sim)", *session, ground_s, rest_s);
   }
@@ -121,7 +121,7 @@ int Run(const bench::BenchFlags& flags) {
     CARL_CHECK(bill_again.ate.value == bill.ate.value)
         << "cached grounding changed the answer";
 
-    PrintAnswer("NIS 1 (35)", bill, "%", 100.0);
+    PrintAteRow("NIS 1 (35)", bill, "%", 100.0);
     bench::PrintRule();
     ReportSession("NIS(sim)", *session, ground_s, rest_s);
   }

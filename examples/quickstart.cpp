@@ -86,34 +86,37 @@ int main() {
 
   // --- 4. Ask causal queries (paper §3.3) ---------------------------------
   // ATE of prestige on an author's average review score (query 36).
-  Result<QueryAnswer> ate = (*engine)->Answer("AVG_Score[A] <= Prestige[A]?");
-  CARL_CHECK_OK(ate.status());
+  QueryResponse ate =
+      (*engine)->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+  CARL_CHECK_OK(ate.status);
   std::printf("\nQuery: AVG_Score[A] <= Prestige[A]?\n");
-  std::printf("  units (authors):        %zu\n", ate->ate->num_units);
+  std::printf("  units (authors):        %zu\n", ate.answer.ate->num_units);
   std::printf("  naive diff of averages: %+.3f\n",
-              ate->ate->naive.difference);
-  std::printf("  ATE (adjusted):         %+.3f\n", ate->ate->ate.value);
+              ate.answer.ate->naive.difference);
+  std::printf("  ATE (adjusted):         %+.3f\n", ate.answer.ate->ate.value);
 
   // Isolated vs relational effects (query 37).
-  Result<QueryAnswer> peers = (*engine)->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED");
-  CARL_CHECK_OK(peers.status());
+  QueryResponse peers = (*engine)->Answer(
+      QueryRequest("AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"));
+  CARL_CHECK_OK(peers.status);
   std::printf("\nQuery: ... WHEN ALL PEERS TREATED\n");
   std::printf("  AIE (own prestige):     %+.3f\n",
-              peers->effects->aie.value);
+              peers.answer.effects->aie.value);
   std::printf("  ARE (peers' prestige):  %+.3f\n",
-              peers->effects->are.value);
+              peers.answer.effects->are.value);
   std::printf("  AOE (= AIE + ARE):      %+.3f\n",
-              peers->effects->aoe.value);
+              peers.answer.effects->aoe.value);
 
   // Auto-unification: ask about Score (a submission attribute) directly;
   // the engine derives the aggregation along the relational path (§4.3).
-  Result<QueryAnswer> unified = (*engine)->Answer("Score[S] <= Prestige[A]?");
-  CARL_CHECK_OK(unified.status());
+  QueryResponse unified =
+      (*engine)->Answer(QueryRequest("Score[S] <= Prestige[A]?"));
+  CARL_CHECK_OK(unified.status);
   std::printf("\nQuery: Score[S] <= Prestige[A]?  (auto-unified)\n");
   std::printf("  derived response:       %s\n",
-              unified->ate->response_attribute.c_str());
-  std::printf("  ATE:                    %+.3f\n", unified->ate->ate.value);
+              unified.answer.ate->response_attribute.c_str());
+  std::printf("  ATE:                    %+.3f\n",
+              unified.answer.ate->ate.value);
 
   std::printf("\nNote: with 3 authors these numbers are illustrative; see\n"
               "examples/peer_review_bias.cpp for a full-scale analysis.\n");

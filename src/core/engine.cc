@@ -117,19 +117,16 @@ Result<std::optional<BindingTable>> EvaluateFilter(
   return std::optional<BindingTable>(std::move(bindings));
 }
 
-UnitTableOptions MakeUnitTableOptions(const EngineOptions& options,
-                                      bool include_isolated) {
+// Peer-effect queries drop units without peers unless the options keep
+// them; ATE queries keep every unit.
+UnitTableOptions MakeUnitTableOptions(const CausalQuery& query,
+                                      const EngineOptions& options) {
   UnitTableOptions out;
   out.embedding = options.embedding;
   out.embedding_options = options.embedding_options;
-  out.include_isolated_units = include_isolated;
+  out.include_isolated_units =
+      !query.peer_condition.has_value() || options.include_isolated_units;
   return out;
-}
-
-EffectEstimate PointEstimate(double value) {
-  EffectEstimate e;
-  e.value = value;
-  return e;
 }
 
 void AttachBootstrap(EffectEstimate* estimate, const BootstrapResult& b) {
@@ -270,114 +267,83 @@ Result<std::optional<bool>> CarlEngine::MaybeCheckCriterion(
 Result<UnitTable> CarlEngine::BuildUnitTableForQuery(
     const CausalQuery& query, const EngineOptions& options) {
   CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(query, options));
-  bool include_isolated =
-      query.peer_condition.has_value() ? options.include_isolated_units : true;
   return BuildUnitTable(*grounded_, resolved.request,
-                        MakeUnitTableOptions(options, include_isolated));
+                        MakeUnitTableOptions(query, options));
 }
 
-Result<AteAnswer> CarlEngine::AnswerAteImpl(const CausalQuery& query,
-                                            const EngineOptions& options,
-                                            QueryTiming* timing) {
+Result<QueryAnswer> CarlEngine::AnswerImpl(const CausalQuery& query,
+                                           const EngineOptions& options,
+                                           QueryTiming* timing) {
   obs::MonotonicTimer phase;
   CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(query, options));
   timing->resolve_s = phase.Seconds();
   phase.Reset();
-  CARL_ASSIGN_OR_RETURN(
-      UnitTable table,
-      BuildUnitTable(*grounded_, resolved.request,
-                     MakeUnitTableOptions(options, /*include_isolated=*/true)));
+  CARL_ASSIGN_OR_RETURN(UnitTable table,
+                        BuildUnitTable(*grounded_, resolved.request,
+                                       MakeUnitTableOptions(query, options)));
   timing->unit_table_s = phase.Seconds();
   phase.Reset();
 
-  AteAnswer answer;
-  answer.response_attribute = resolved.response_attribute;
-  answer.num_units = table.data.num_rows();
-  answer.dropped_units = table.dropped_units;
-  answer.relational = table.relational;
-  CARL_ASSIGN_OR_RETURN(answer.naive,
-                        ComputeNaiveContrast(table, table.data));
-  CARL_ASSIGN_OR_RETURN(double point,
-                        EstimateAte(table, table.data, options.estimator));
-  answer.ate = PointEstimate(point);
+  // The query form picks the estimands: the ATE (eq. 23) for plain
+  // queries; AIE, ARE, AOE (eq. 24–26) and the AIE psi variant for
+  // WHEN ... PEERS TREATED queries.
+  const std::optional<PeerCondition>& peers = query.peer_condition;
+  auto estimate = [&](const FlatTable& data) -> Result<std::vector<double>> {
+    if (!peers.has_value()) {
+      CARL_ASSIGN_OR_RETURN(double ate,
+                            EstimateAte(table, data, options.estimator));
+      return std::vector<double>{ate};
+    }
+    CARL_ASSIGN_OR_RETURN(
+        RelationalEffects e,
+        EstimateRelationalEffects(table, data, *peers, options.estimator));
+    return std::vector<double>{e.aie, e.are, e.aoe, e.aie_psi};
+  };
 
-  if (options.bootstrap_replicates > 0) {
+  CARL_ASSIGN_OR_RETURN(NaiveContrast naive,
+                        ComputeNaiveContrast(table, table.data));
+  CARL_ASSIGN_OR_RETURN(std::vector<double> point, estimate(table.data));
+  std::vector<EffectEstimate> effects(point.size());
+  for (size_t k = 0; k < point.size(); ++k) {
+    effects[k].value = point[k];
+    if (options.bootstrap_replicates <= 0) continue;
+    auto component = [&](const std::vector<size_t>& rows) -> Result<double> {
+      CARL_ASSIGN_OR_RETURN(std::vector<double> e,
+                            estimate(table.data.SelectRows(rows)));
+      return e[k];
+    };
     CARL_ASSIGN_OR_RETURN(
         BootstrapResult b,
         Bootstrap(table.data.num_rows(), options.bootstrap_replicates,
-                  options.seed, [&](const std::vector<size_t>& rows) {
-                    return EstimateAte(table, table.data.SelectRows(rows),
-                                       options.estimator);
-                  }));
-    AttachBootstrap(&answer.ate, b);
+                  options.seed, component));
+    AttachBootstrap(&effects[k], b);
   }
-  CARL_ASSIGN_OR_RETURN(answer.criterion_ok,
+  CARL_ASSIGN_OR_RETURN(std::optional<bool> criterion_ok,
                         MaybeCheckCriterion(resolved.request, table, options));
   timing->estimate_s = phase.Seconds();
-  return answer;
-}
 
-Result<RelationalEffectsAnswer> CarlEngine::AnswerRelationalEffectsImpl(
-    const CausalQuery& query, const EngineOptions& options,
-    QueryTiming* timing) {
-  obs::MonotonicTimer phase;
-  CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(query, options));
-  timing->resolve_s = phase.Seconds();
-  phase.Reset();
-  CARL_ASSIGN_OR_RETURN(
-      UnitTable table,
-      BuildUnitTable(
-          *grounded_, resolved.request,
-          MakeUnitTableOptions(options, options.include_isolated_units)));
-  timing->unit_table_s = phase.Seconds();
-  phase.Reset();
-
-  RelationalEffectsAnswer answer;
-  answer.condition = *query.peer_condition;
-  answer.response_attribute = resolved.response_attribute;
-  answer.num_units = table.data.num_rows();
-  answer.dropped_units = table.dropped_units;
-  CARL_ASSIGN_OR_RETURN(answer.naive,
-                        ComputeNaiveContrast(table, table.data));
-  CARL_ASSIGN_OR_RETURN(
-      RelationalEffects point,
-      EstimateRelationalEffects(table, table.data, *query.peer_condition,
-                                options.estimator));
-  answer.aie = PointEstimate(point.aie);
-  answer.are = PointEstimate(point.are);
-  answer.aoe = PointEstimate(point.aoe);
-  answer.aie_psi = PointEstimate(point.aie_psi);
-
-  if (options.bootstrap_replicates > 0) {
-    auto component =
-        [&](double RelationalEffects::*member) -> Result<BootstrapResult> {
-      return Bootstrap(
-          table.data.num_rows(), options.bootstrap_replicates, options.seed,
-          [&](const std::vector<size_t>& rows) -> Result<double> {
-            CARL_ASSIGN_OR_RETURN(
-                RelationalEffects e,
-                EstimateRelationalEffects(table, table.data.SelectRows(rows),
-                                          *query.peer_condition,
-                                          options.estimator));
-            return e.*member;
-          });
-    };
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_aie,
-                          component(&RelationalEffects::aie));
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_are,
-                          component(&RelationalEffects::are));
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_aoe,
-                          component(&RelationalEffects::aoe));
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_psi,
-                          component(&RelationalEffects::aie_psi));
-    AttachBootstrap(&answer.aie, b_aie);
-    AttachBootstrap(&answer.are, b_are);
-    AttachBootstrap(&answer.aoe, b_aoe);
-    AttachBootstrap(&answer.aie_psi, b_psi);
+  auto fill = [&](auto& out) {
+    out.naive = naive;
+    out.num_units = table.data.num_rows();
+    out.dropped_units = table.dropped_units;
+    out.response_attribute = resolved.response_attribute;
+    out.criterion_ok = criterion_ok;
+  };
+  QueryAnswer answer;
+  if (peers.has_value()) {
+    RelationalEffectsAnswer& fx = answer.effects.emplace();
+    fill(fx);
+    fx.condition = *peers;
+    fx.aie = std::move(effects[0]);
+    fx.are = std::move(effects[1]);
+    fx.aoe = std::move(effects[2]);
+    fx.aie_psi = std::move(effects[3]);
+  } else {
+    AteAnswer& ate = answer.ate.emplace();
+    fill(ate);
+    ate.relational = table.relational;
+    ate.ate = std::move(effects[0]);
   }
-  CARL_ASSIGN_OR_RETURN(answer.criterion_ok,
-                        MaybeCheckCriterion(resolved.request, table, options));
-  timing->estimate_s = phase.Seconds();
   return answer;
 }
 
@@ -412,70 +378,15 @@ QueryResponse CarlEngine::Answer(const QueryRequest& request) {
   // Guard admission: the request budget (env-defaulted) holds for the
   // whole dispatch below, grounding included.
   RequestBudgetToken admission(request.budget);
-  if (query->peer_condition.has_value()) {
-    Result<RelationalEffectsAnswer> effects =
-        AnswerRelationalEffectsImpl(*query, request.options,
-                                    &response.timing);
-    if (effects.ok()) {
-      response.answer.effects = std::move(*effects);
-    } else {
-      response.status = effects.status();
-    }
+  Result<QueryAnswer> answer =
+      AnswerImpl(*query, request.options, &response.timing);
+  if (answer.ok()) {
+    response.answer = std::move(*answer);
   } else {
-    Result<AteAnswer> ate =
-        AnswerAteImpl(*query, request.options, &response.timing);
-    if (ate.ok()) {
-      response.answer.ate = std::move(*ate);
-    } else {
-      response.status = ate.status();
-    }
+    response.status = answer.status();
   }
   response.timing.total_s = total.Seconds();
   return response;
-}
-
-Result<AteAnswer> CarlEngine::AnswerAte(const CausalQuery& query,
-                                        const EngineOptions& options) {
-  if (query.peer_condition.has_value()) {
-    return Status::InvalidArgument(
-        "query has a WHEN clause; use AnswerRelationalEffects");
-  }
-  QueryRequest request(query);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(*response.answer.ate);
-}
-
-Result<RelationalEffectsAnswer> CarlEngine::AnswerRelationalEffects(
-    const CausalQuery& query, const EngineOptions& options) {
-  if (!query.peer_condition.has_value()) {
-    return Status::InvalidArgument(
-        "query has no WHEN clause; use AnswerAte");
-  }
-  QueryRequest request(query);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(*response.answer.effects);
-}
-
-Result<QueryAnswer> CarlEngine::Answer(const CausalQuery& query,
-                                       const EngineOptions& options) {
-  QueryRequest request(query);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(response.answer);
-}
-
-Result<QueryAnswer> CarlEngine::Answer(const std::string& query_text,
-                                       const EngineOptions& options) {
-  QueryRequest request(query_text);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(response.answer);
 }
 
 }  // namespace carl

@@ -101,9 +101,8 @@ struct QueryTiming {
 
 /// The canonical request of the query surface: one struct carries the
 /// query (text or pre-parsed), the engine options, and an explicit
-/// per-request guard budget. carl_serve speaks only this surface; the
-/// older Answer*/AnswerAte/AnswerRelationalEffects signatures are thin
-/// shims over it.
+/// per-request guard budget. Embeddings, benches and carl_serve all answer
+/// through CarlEngine::Answer(QueryRequest).
 struct QueryRequest {
   /// Pre-parsed query; when set, `query_text` must be empty.
   std::optional<CausalQuery> query;
@@ -162,26 +161,6 @@ class CarlEngine {
   /// failures travel in response.status.
   QueryResponse Answer(const QueryRequest& request);
 
-  /// DEPRECATED shim: answers an ATE or aggregated-response query (no
-  /// WHEN clause). Equivalent to Answer(QueryRequest{query}) with
-  /// `options`; prefer the QueryRequest surface.
-  Result<AteAnswer> AnswerAte(const CausalQuery& query,
-                              const EngineOptions& options = {});
-
-  /// DEPRECATED shim: answers a WHEN <cnd> PEERS TREATED query. Prefer
-  /// the QueryRequest surface.
-  Result<RelationalEffectsAnswer> AnswerRelationalEffects(
-      const CausalQuery& query, const EngineOptions& options = {});
-
-  /// DEPRECATED shim: dispatches on the query form. Prefer the
-  /// QueryRequest surface.
-  Result<QueryAnswer> Answer(const CausalQuery& query,
-                             const EngineOptions& options = {});
-  /// DEPRECATED shim: parses and answers a single query string. Prefer
-  /// the QueryRequest surface.
-  Result<QueryAnswer> Answer(const std::string& query_text,
-                             const EngineOptions& options = {});
-
   /// Exposes the unit table a query would use (Table 1; also used by the
   /// CATE benches to stratify rows).
   Result<UnitTable> BuildUnitTableForQuery(const CausalQuery& query,
@@ -201,15 +180,13 @@ class CarlEngine {
   Result<ResolvedQuery> ResolveQuery(const CausalQuery& query,
                                      const EngineOptions& options);
 
-  // The real implementations behind every public Answer signature. They
-  // assume guard admission already happened (Answer(QueryRequest) owns
-  // the token) and fill `timing` phase by phase.
-  Result<AteAnswer> AnswerAteImpl(const CausalQuery& query,
-                                  const EngineOptions& options,
-                                  QueryTiming* timing);
-  Result<RelationalEffectsAnswer> AnswerRelationalEffectsImpl(
-      const CausalQuery& query, const EngineOptions& options,
-      QueryTiming* timing);
+  // The implementation behind Answer(QueryRequest): resolve, unit table,
+  // naive contrast, the query form's estimator and bootstrap, criterion
+  // check. Assumes guard admission already happened (Answer owns the
+  // token) and fills `timing` phase by phase.
+  Result<QueryAnswer> AnswerImpl(const CausalQuery& query,
+                                 const EngineOptions& options,
+                                 QueryTiming* timing);
 
   Result<std::optional<bool>> MaybeCheckCriterion(
       const UnitTableRequest& request, const UnitTable& table,

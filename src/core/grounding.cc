@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -732,7 +733,77 @@ void MergeAllRuleGroundings(const std::vector<CompiledRule>& rules,
   if (splice_s != nullptr) *splice_s += splice_timer.Seconds();
 }
 
+// Enumerates a rule condition over its distinguished variables: the full
+// binding table for a ground, the delta-restricted one for an extend.
+using BindingSource =
+    std::function<Result<std::shared_ptr<const BindingTable>>(
+        const ConjunctiveQuery& where, const std::vector<std::string>& vars)>;
+
+// Compiles every rule of `model` into a merge job whose bindings come
+// from `enumerate`. Causal rules first, then aggregate rules (all-or-
+// nothing per binding: head and source must both resolve) — the vector
+// order is the merge order.
+Result<std::vector<CompiledRule>> CompileRules(
+    const Instance& instance, const RelationalCausalModel& model,
+    const BindingSource& enumerate) {
+  const Schema& schema = model.extended_schema();
+  std::vector<CompiledRule> compiled;
+  compiled.reserve(model.rules().size() + model.aggregate_rules().size());
+  auto compile = [&](const AttributeRef& head,
+                     const std::vector<const AttributeRef*>& body,
+                     const ConjunctiveQuery& where,
+                     bool require_all) -> Status {
+    std::vector<std::string> vars = DistinguishedVars(head, body);
+    std::unordered_map<std::string, size_t> var_slots;
+    for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
+
+    CompiledRule job;
+    job.require_all = require_all;
+    CARL_ASSIGN_OR_RETURN(job.bindings, enumerate(where, vars));
+    CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
+                          schema.FindAttribute(head.attribute));
+    job.head = CompileRef(instance, head_attr, head, var_slots);
+    job.body.reserve(body.size());
+    for (const AttributeRef* b : body) {
+      CARL_ASSIGN_OR_RETURN(AttributeId aid,
+                            schema.FindAttribute(b->attribute));
+      job.body.push_back(CompileRef(instance, aid, *b, var_slots));
+    }
+    compiled.push_back(std::move(job));
+    return Status::OK();
+  };
+  for (const CausalRule& rule : model.rules()) {
+    std::vector<const AttributeRef*> body;
+    body.reserve(rule.body.size());
+    for (const AttributeRef& b : rule.body) body.push_back(&b);
+    CARL_RETURN_IF_ERROR(compile(rule.head, body, rule.where,
+                                 /*require_all=*/false));
+  }
+  for (const AggregateRule& rule : model.aggregate_rules()) {
+    CARL_RETURN_IF_ERROR(compile(rule.head, {&rule.source}, rule.where,
+                                 /*require_all=*/true));
+  }
+  return compiled;
+}
+
 }  // namespace
+
+void GroundedModel::TagAggregateNodes(size_t first_node) {
+  const size_t n = graph_.num_nodes();
+  node_has_aggregate_.resize(n, 0);
+  node_aggregate_.resize(n, AggregateKind::kAvg);
+  const Schema& schema = model_->extended_schema();
+  for (const AggregateRule& rule : model_->aggregate_rules()) {
+    Result<AttributeId> aid = schema.FindAttribute(rule.head.attribute);
+    if (!aid.ok()) continue;
+    for (NodeId node : graph_.NodesOfAttribute(*aid)) {
+      if (static_cast<size_t>(node) >= first_node) {
+        node_has_aggregate_[node] = 1;
+        node_aggregate_[node] = rule.aggregate;
+      }
+    }
+  }
+}
 
 std::optional<AggregateKind> GroundedModel::NodeAggregate(NodeId id) const {
   CARL_CHECK(id >= 0 && static_cast<size_t>(id) < node_has_aggregate_.size());
@@ -889,50 +960,12 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   {
     CARL_TRACE_SCOPE("grounding.enumerate");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    compiled.reserve(model.rules().size() + model.aggregate_rules().size());
-    for (const CausalRule& rule : model.rules()) {
-      std::vector<const AttributeRef*> body;
-      body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) body.push_back(&b);
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
-      CARL_ASSIGN_OR_RETURN(
-          job.bindings, EnumerateBindingsCached(evaluator, schema, rule.where,
-                                                vars, ctx, binding_cache));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) {
-        CARL_ASSIGN_OR_RETURN(AttributeId aid,
-                              schema.FindAttribute(b.attribute));
-        job.body.push_back(CompileRef(instance, aid, b, var_slots));
-      }
-      compiled.push_back(std::move(job));
-    }
-    for (const AggregateRule& rule : model.aggregate_rules()) {
-      std::vector<const AttributeRef*> body{&rule.source};
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
-      job.require_all = true;
-      CARL_ASSIGN_OR_RETURN(
-          job.bindings, EnumerateBindingsCached(evaluator, schema, rule.where,
-                                                vars, ctx, binding_cache));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      CARL_ASSIGN_OR_RETURN(AttributeId source_attr,
-                            schema.FindAttribute(rule.source.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.push_back(
-          CompileRef(instance, source_attr, rule.source, var_slots));
-      compiled.push_back(std::move(job));
-    }
+    auto enumerate = [&](const ConjunctiveQuery& where,
+                         const std::vector<std::string>& vars) {
+      return EnumerateBindingsCached(evaluator, schema, where, vars, ctx,
+                                     binding_cache);
+    };
+    CARL_ASSIGN_OR_RETURN(compiled, CompileRules(instance, model, enumerate));
   }
   grounded.phase_stats_.enumerate_s = phase_timer.Seconds();
 
@@ -951,17 +984,7 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   grounded.phase_stats_.merge_s = phase_timer.Seconds();
 
   // 4. Tag aggregate nodes with their kind.
-  grounded.node_has_aggregate_.assign(grounded.graph_.num_nodes(), 0);
-  grounded.node_aggregate_.assign(grounded.graph_.num_nodes(),
-                                  AggregateKind::kAvg);
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    Result<AttributeId> aid = schema.FindAttribute(rule.head.attribute);
-    if (!aid.ok()) continue;
-    for (NodeId n : grounded.graph_.NodesOfAttribute(*aid)) {
-      grounded.node_has_aggregate_[n] = 1;
-      grounded.node_aggregate_[n] = rule.aggregate;
-    }
-  }
+  grounded.TagAggregateNodes(0);
 
   // 5. The paper requires non-recursive models; reject cyclic groundings.
   // The topological order then drives the eager value pass.
@@ -1152,56 +1175,17 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   {
     CARL_TRACE_SCOPE("grounding.extend.delta_plan");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    compiled.reserve(model.rules().size() + model.aggregate_rules().size());
-    for (const CausalRule& rule : model.rules()) {
-      std::vector<const AttributeRef*> body;
-      body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) body.push_back(&b);
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
+    auto enumerate = [&](const ConjunctiveQuery& where,
+                         const std::vector<std::string>& vars)
+        -> Result<std::shared_ptr<const BindingTable>> {
       CARL_ASSIGN_OR_RETURN(PreparedDeltaQuery prepared,
-                            evaluator.PrepareDelta(rule.where));
+                            evaluator.PrepareDelta(where));
       CARL_ASSIGN_OR_RETURN(
           BindingTable table,
           evaluator.EvaluateDelta(prepared, vars, watermarks));
-      job.bindings = std::make_shared<const BindingTable>(std::move(table));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) {
-        CARL_ASSIGN_OR_RETURN(AttributeId aid,
-                              schema.FindAttribute(b.attribute));
-        job.body.push_back(CompileRef(instance, aid, b, var_slots));
-      }
-      compiled.push_back(std::move(job));
-    }
-    for (const AggregateRule& rule : model.aggregate_rules()) {
-      std::vector<const AttributeRef*> body{&rule.source};
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
-      job.require_all = true;
-      CARL_ASSIGN_OR_RETURN(PreparedDeltaQuery prepared,
-                            evaluator.PrepareDelta(rule.where));
-      CARL_ASSIGN_OR_RETURN(
-          BindingTable table,
-          evaluator.EvaluateDelta(prepared, vars, watermarks));
-      job.bindings = std::make_shared<const BindingTable>(std::move(table));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      CARL_ASSIGN_OR_RETURN(AttributeId source_attr,
-                            schema.FindAttribute(rule.source.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.push_back(
-          CompileRef(instance, source_attr, rule.source, var_slots));
-      compiled.push_back(std::move(job));
-    }
+      return std::make_shared<const BindingTable>(std::move(table));
+    };
+    CARL_ASSIGN_OR_RETURN(compiled, CompileRules(instance, model, enumerate));
   }
   out.phase_stats_.enumerate_s = phase_timer.Seconds();
 
@@ -1224,19 +1208,8 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   out.phase_stats_.merge_s = phase_timer.Seconds();
 
   // 4. Tag the new nodes of aggregate-defined attributes.
+  out.TagAggregateNodes(nodes_before);
   const size_t n = graph.num_nodes();
-  out.node_has_aggregate_.resize(n, 0);
-  out.node_aggregate_.resize(n, AggregateKind::kAvg);
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    Result<AttributeId> aid = schema.FindAttribute(rule.head.attribute);
-    if (!aid.ok()) continue;
-    for (NodeId node : graph.NodesOfAttribute(*aid)) {
-      if (static_cast<size_t>(node) >= nodes_before) {
-        out.node_has_aggregate_[node] = 1;
-        out.node_aggregate_[node] = rule.aggregate;
-      }
-    }
-  }
 
   // 5. Cycle check (the extension could close a cycle) — the order also
   // drives the affected-aggregate recompute below.

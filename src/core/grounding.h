@@ -207,6 +207,10 @@ class GroundedModel {
   // (parents first).
   void FinalizeValues(const std::vector<NodeId>& topo_order);
 
+  // Sizes the aggregate tags to the graph and tags every node from
+  // `first_node` on whose attribute an aggregate rule defines.
+  void TagAggregateNodes(size_t first_node);
+
   const Instance* instance_ = nullptr;
   const RelationalCausalModel* model_ = nullptr;
   CausalGraph graph_;

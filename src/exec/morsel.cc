@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -23,14 +22,8 @@ obs::Counter& StealCounter() {
 }
 
 std::atomic<bool>& StealFlag() {
-  static std::atomic<bool>* flag = [] {
-    bool enabled = true;
-    if (const char* env = std::getenv("CARL_STEAL")) {
-      enabled = std::atoi(env) != 0;
-    }
-    return new std::atomic<bool>(enabled);
-  }();
-  return *flag;
+  static std::atomic<bool> flag(true);
+  return flag;
 }
 
 // One participant's morsel-index range, packed begin << 32 | end so both

@@ -46,10 +46,9 @@ void RunMorsels(ExecContext& ctx,
                 std::vector<std::pair<size_t, size_t>> morsels,
                 const std::function<void(size_t, size_t, size_t)>& body);
 
-/// Steal-policy switch, default on. Initialized once from CARL_STEAL
-/// (0 disables); tests toggle it directly to compare the work-stealing
-/// schedule against the static per-thread partition. Never affects
-/// results — only which thread executes which morsel.
+/// Steal-policy switch, default on; tests turn it off to compare the
+/// work-stealing schedule against the static per-thread partition. Never
+/// affects results — only which thread executes which morsel.
 bool MorselStealingEnabled();
 void SetMorselStealing(bool enabled);
 

@@ -238,8 +238,9 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
     CARL_ASSIGN_OR_RETURN(
         std::unique_ptr<CarlEngine> engine,
         CarlEngine::Create(session, std::move(*model)));
-    CARL_ASSIGN_OR_RETURN(QueryAnswer qa, engine->Answer(query));
-    return qa.ate->ate.value;
+    QueryResponse response = engine->Answer(QueryRequest(query));
+    CARL_RETURN_IF_ERROR(response.status);
+    return response.answer.ate->ate.value;
   };
 
   // The first grounding fills the binding cache; the derived MAX_Score
@@ -259,10 +260,10 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
   Result<std::unique_ptr<CarlEngine>> isolated =
       CarlEngine::Create(data->instance.get(), std::move(*fresh_model));
   ASSERT_TRUE(isolated.ok());
-  Result<QueryAnswer> isolated_answer =
-      (*isolated)->Answer("MAX_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(isolated_answer.ok());
-  EXPECT_DOUBLE_EQ(*derived, isolated_answer->ate->ate.value);
+  QueryResponse isolated_answer =
+      (*isolated)->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"));
+  ASSERT_TRUE(isolated_answer.status.ok());
+  EXPECT_DOUBLE_EQ(*derived, isolated_answer.answer.ate->ate.value);
 
   // Instance mutation drops the binding cache with the groundings.
   const auto entries = data->instance->AttributeEntries(

@@ -436,6 +436,7 @@ TEST(BootstrapParallelTest, DeterministicAcrossParallelThreadCounts) {
   };
   std::vector<double> two = run(2);
   EXPECT_EQ(two.size(), 100u);
+  EXPECT_EQ(two, run(1));
   EXPECT_EQ(two, run(4));
   EXPECT_EQ(two, run(8));
 }
@@ -477,7 +478,7 @@ TEST(QuerySessionTest, DerivedAggregationRegroundSharedAcrossEngines) {
         CarlEngine::Create(session, std::move(*model)));
     // MAX_Score is not in the model: the engine derives the unifying
     // aggregate (§4.3) and re-grounds the extended variant.
-    return engine->Answer("MAX_Score[A] <= Prestige[A]?").status();
+    return engine->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?")).status;
   };
 
   ASSERT_TRUE(answer_with_fresh_engine().ok());
@@ -541,7 +542,9 @@ TEST(QuerySessionTest, EvictionBoundsTheCache) {
   ASSERT_TRUE(engine.ok());
   // The derived MAX_Score variant is a second grounding: with capacity 1
   // the base grounding is evicted, the engine keeps its shared_ptr alive.
-  ASSERT_TRUE((*engine)->Answer("MAX_Score[A] <= Prestige[A]?").ok());
+  QueryResponse response =
+      (*engine)->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"));
+  ASSERT_TRUE(response.status.ok());
   EXPECT_EQ(session->num_cached_groundings(), 1u);
   EXPECT_GE(session->stats().ground_evictions, 1u);
 }
@@ -563,22 +566,23 @@ TEST(QuerySessionTest, EngineSurvivesEvictionOfItsGrounding) {
   };
 
   std::unique_ptr<CarlEngine> holder_engine = make_engine();
-  Result<QueryAnswer> before =
-      holder_engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(before.ok());
+  const QueryRequest request("AVG_Score[A] <= Prestige[A]?");
+  QueryResponse before = holder_engine->Answer(request);
+  ASSERT_TRUE(before.status.ok());
 
   // A second engine grounds a derived variant, evicting the first
   // engine's grounding from the cache. The first engine's aliased
   // shared_ptr must keep grounding AND model copy alive (the grounding
   // references the model by pointer), so it keeps answering correctly.
   std::unique_ptr<CarlEngine> evictor = make_engine();
-  ASSERT_TRUE(evictor->Answer("MAX_Score[A] <= Prestige[A]?").ok());
+  QueryResponse evicting =
+      evictor->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"));
+  ASSERT_TRUE(evicting.status.ok());
   EXPECT_GE(session->stats().ground_evictions, 1u);
 
-  Result<QueryAnswer> after =
-      holder_engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(after.ok());
-  EXPECT_DOUBLE_EQ(after->ate->ate.value, before->ate->ate.value);
+  QueryResponse after = holder_engine->Answer(request);
+  ASSERT_TRUE(after.status.ok());
+  EXPECT_DOUBLE_EQ(after.answer.ate->ate.value, before.answer.ate->ate.value);
 }
 
 TEST(QuerySessionTest, ValueMutationInvalidatesCachedGroundings) {
@@ -626,9 +630,10 @@ TEST(QuerySessionTest, EngineAnswersIdenticalThroughSharedSession) {
         shared ? CarlEngine::Create(session, std::move(*model))
                : CarlEngine::Create(data->instance.get(), std::move(*model));
     CARL_RETURN_IF_ERROR(engine.status());
-    CARL_ASSIGN_OR_RETURN(QueryAnswer qa,
-                          (*engine)->Answer("AVG_Score[A] <= Prestige[A]?"));
-    return qa.ate->ate.value;
+    QueryResponse response =
+        (*engine)->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+    CARL_RETURN_IF_ERROR(response.status);
+    return response.answer.ate->ate.value;
   };
 
   Result<double> isolated = answer(false);

@@ -315,17 +315,16 @@ TEST_F(FaultFuzzTest, EnvDeadlineStopsEngineQueries) {
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   ASSERT_EQ(setenv("CARL_DEADLINE_MS", "0.000001", 1), 0);
-  Result<QueryAnswer> bounded =
-      (*engine)->Answer("AVG_Score[A] <= Prestige[A]?");
+  const QueryRequest request("AVG_Score[A] <= Prestige[A]?");
+  QueryResponse bounded = (*engine)->Answer(request);
   unsetenv("CARL_DEADLINE_MS");
-  ASSERT_FALSE(bounded.ok());
-  EXPECT_EQ(bounded.status().code(), StatusCode::kDeadlineExceeded)
-      << bounded.status();
+  ASSERT_FALSE(bounded.status.ok());
+  EXPECT_EQ(bounded.status.code(), StatusCode::kDeadlineExceeded)
+      << bounded.status;
 
   // Engine unharmed: the same query answers normally without the knob.
-  Result<QueryAnswer> answer =
-      (*engine)->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(answer.ok()) << answer.status();
+  QueryResponse answer = (*engine)->Answer(request);
+  ASSERT_TRUE(answer.status.ok()) << answer.status;
 }
 
 // ---------------------------------------------------------------------------
