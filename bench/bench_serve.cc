@@ -8,7 +8,7 @@
 //
 //  * a deterministic coalesce segment: a wave of identical requests
 //    queued before the workers start MUST ground once (CHECKed against
-//    serve.wave_coalesced and the shard's SessionStats);
+//    ServeStats::coalesced and the shard's SessionStats);
 //  * a sustained segment: concurrent blocking clients over the
 //    in-process ServeDriver (full wire codec round trip per call),
 //    reporting QPS and p50/p99 latency;

@@ -55,17 +55,20 @@ AteAnswer RunQuery(const std::shared_ptr<QuerySession>& session,
 
 void ReportSession(const char* dataset, const QuerySession& session,
                    double ground_s, double query_s) {
-  const QuerySession::CacheStats& stats = session.stats();
+  const QuerySession::SessionStats stats = session.SnapshotStats();
+  const uint64_t groundings = stats.ground_full + stats.ground_extends;
   std::printf(
       "%s: first query (incl. grounding) %.2fs, cached follow-ups %.2fs; "
-      "session cache: %zu hits, %zu distinct groundings\n",
-      dataset, ground_s, query_s, stats.ground_hits, stats.ground_misses);
+      "session cache: %llu hits, %llu distinct groundings\n",
+      dataset, ground_s, query_s,
+      static_cast<unsigned long long>(stats.cache_hits),
+      static_cast<unsigned long long>(groundings));
   bench::EmitJson(kBenchName, dataset, "first_ground_s", ground_s);
   bench::EmitJson(kBenchName, dataset, "cached_queries_s", query_s);
   bench::EmitJson(kBenchName, dataset, "ground_cache_hits",
-                  static_cast<double>(stats.ground_hits));
+                  static_cast<double>(stats.cache_hits));
   bench::EmitJson(kBenchName, dataset, "distinct_groundings",
-                  static_cast<double>(stats.ground_misses));
+                  static_cast<double>(groundings));
 }
 
 int Run(const bench::BenchFlags& flags) {

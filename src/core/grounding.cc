@@ -31,27 +31,20 @@ size_t PlanBindingShards(size_t candidates, int threads) {
 }
 
 std::shared_ptr<const BindingTable> BindingCache::Find(BindingKeyId key) {
-  static obs::Counter& hit_counter =
-      obs::Registry::Global().GetCounter("grounding.binding_cache_hits");
-  static obs::Counter& miss_counter =
-      obs::Registry::Global().GetCounter("grounding.binding_cache_misses");
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     ++hits_;
-    hit_counter.Increment();
     return it->second.table;
   }
   if (staging_) {
     for (const auto& [staged_key, entry] : staged_) {
       if (staged_key == key) {
         ++hits_;
-        hit_counter.Increment();
         return entry.table;
       }
     }
   }
   ++misses_;
-  miss_counter.Increment();
   return nullptr;
 }
 

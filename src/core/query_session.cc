@@ -34,32 +34,6 @@ class StagedBindingCache {
   BindingCache* cache_;
 };
 
-// Registry mirrors of the per-session CacheStats: the struct stays the
-// session-scoped API, the counters aggregate across every session in the
-// process (what a snapshot or trace consumer wants).
-struct SessionCounters {
-  obs::Counter& ground_hits =
-      obs::Registry::Global().GetCounter("query_session.ground_hits");
-  obs::Counter& ground_misses =
-      obs::Registry::Global().GetCounter("query_session.ground_misses");
-  obs::Counter& ground_extends =
-      obs::Registry::Global().GetCounter("query_session.ground_extends");
-  obs::Counter& ground_evictions =
-      obs::Registry::Global().GetCounter("query_session.ground_evictions");
-  obs::Counter& column_hits =
-      obs::Registry::Global().GetCounter("query_session.column_hits");
-  obs::Counter& column_misses =
-      obs::Registry::Global().GetCounter("query_session.column_misses");
-
-  static SessionCounters& Get() {
-    static SessionCounters counters;
-    return counters;
-  }
-};
-
-}  // namespace
-namespace {
-
 uint64_t HashCombine(uint64_t h, uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4);
   return h;
@@ -159,7 +133,6 @@ bool FactsIrrelevantToGrounding(const RelationalCausalModel& model,
 Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     const RelationalCausalModel& model) {
   CARL_TRACE_SCOPE("query_session.ground");
-  SessionCounters& counters = SessionCounters::Get();
   const uint64_t generation = instance_->generation();
   if (generation != binding_cache_generation_) {
     // Reconcile the binding cache once per generation move: only tables
@@ -180,9 +153,7 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   for (Entry& entry : bucket) {
     if (entry.model_text != model_text) continue;
     if (entry.grounded_generation == generation) {
-      ++stats_.ground_hits;
       live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      counters.ground_hits.Increment();
       return entry.grounded;
     }
 
@@ -197,14 +168,10 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
       // grounding (and its value columns) is exactly what a re-ground
       // would rebuild.
       entry.grounded_generation = generation;
-      ++stats_.ground_hits;
       live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      counters.ground_hits.Increment();
       return entry.grounded;
     }
 
-    ++stats_.ground_misses;
-    counters.ground_misses.Increment();
     if (extensible) {
       // Extend the cached graph in delta-sized time. If no consumer
       // holds the grounding (use_count 2 = entry.holder + the aliased
@@ -220,9 +187,7 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
       Result<GroundedModel> extended =
           ExtendGroundedModel(std::move(base), delta);
       if (extended.ok()) {
-        ++stats_.ground_extends;
         live_stats_.ground_extends.fetch_add(1, std::memory_order_relaxed);
-        counters.ground_extends.Increment();
         auto holder = std::make_shared<GroundingHolder>();
         holder->model = entry.holder->model;
         holder->grounded = std::move(*extended);
@@ -274,8 +239,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     return entry.grounded;
   }
 
-  ++stats_.ground_misses;
-  counters.ground_misses.Increment();
   // The grounding references the model copy by pointer, so both live in
   // one holder and the handed-out shared_ptr aliases into it: however
   // long any consumer keeps the grounding — across evictions, even past
@@ -353,9 +316,7 @@ void QuerySession::EvictOldestEntry() {
   for (auto it = bucket.begin(); it != bucket.end(); ++it) {
     if (it->model_text == text) {
       bucket.erase(it);
-      ++stats_.ground_evictions;
       live_stats_.ground_evictions.fetch_add(1, std::memory_order_relaxed);
-      SessionCounters::Get().ground_evictions.Increment();
       break;
     }
   }
@@ -378,14 +339,10 @@ Result<std::shared_ptr<const AttributeValueColumn>> QuerySession::ValueColumn(
       if (entry.grounded != grounded) continue;
       auto it = entry.columns.find(attribute);
       if (it != entry.columns.end()) {
-        ++stats_.column_hits;
         live_stats_.column_hits.fetch_add(1, std::memory_order_relaxed);
-        SessionCounters::Get().column_hits.Increment();
         return it->second;
       }
-      ++stats_.column_misses;
       live_stats_.column_misses.fetch_add(1, std::memory_order_relaxed);
-      SessionCounters::Get().column_misses.Increment();
       auto column = std::make_shared<AttributeValueColumn>();
       column->attribute = attribute;
       column->nodes = grounded->graph().NodesOfAttribute(attribute);

@@ -18,7 +18,7 @@
 //   2. the delta is inside the incremental-extend contract
 //      (DeltaSupportsIncrementalExtend) — the cached graph is extended in
 //      delta-sized time (ExtendGroundedModel) instead of re-grounded;
-//      counted as a miss plus a ground_extends tick;
+//      counted as a ground_extends tick;
 //   3. otherwise (trimmed log, overflow write, constraint-attribute
 //      write, new rule constant) — full re-ground.
 //
@@ -86,29 +86,15 @@ class QuerySession {
       const std::shared_ptr<const GroundedModel>& grounded,
       AttributeId attribute);
 
-  struct CacheStats {
-    size_t ground_hits = 0;
-    size_t ground_misses = 0;
-    size_t column_hits = 0;
-    size_t column_misses = 0;
-    size_t ground_evictions = 0;
-    /// Misses served by incrementally extending a cached grounding
-    /// (ExtendGroundedModel) instead of re-grounding from scratch.
-    /// Always <= ground_misses.
-    size_t ground_extends = 0;
-  };
-  const CacheStats& stats() const { return stats_; }
-
-  /// Plain-data cache-efficacy snapshot, safe to take from ANY thread —
+  /// The session's cache counters — one per event, and the only copy:
+  /// relaxed atomics, so this snapshot is safe to take from ANY thread,
   /// including while another thread (holding whatever external lock
-  /// serializes Ground/ValueColumn calls) is mutating the session. The
-  /// fields are relaxed-atomic mirrors maintained at the same sites as
-  /// CacheStats, so a server can report per-session cache efficacy
-  /// without friend access and without stopping the serving path.
-  /// ground_full + ground_extends == CacheStats::ground_misses (counted
-  /// on *successful* grounds only, so an aborted guarded pass leaves
-  /// them untouched). The same counters also aggregate process-wide in
-  /// the obs registry under "query_session.*".
+  /// serializes Ground/ValueColumn calls) is mutating the session. A
+  /// server reports per-session cache efficacy from it without stopping
+  /// the serving path. ground_full and ground_extends count *successful*
+  /// passes only: a failed or guard-aborted Ground() leaves every field
+  /// untouched, so ground_full + ground_extends is the number of
+  /// groundings the session actually built.
   struct SessionStats {
     uint64_t cache_hits = 0;      ///< groundings served from cache
     uint64_t ground_full = 0;     ///< successful from-scratch grounds
@@ -184,8 +170,7 @@ class QuerySession {
   // FIFO eviction queue.
   std::vector<std::pair<uint64_t, std::string>> insertion_order_;
   size_t max_cached_groundings_ = 16;
-  CacheStats stats_;
-  // Relaxed-atomic mirrors behind SnapshotStats(); see its comment.
+  // Behind SnapshotStats(); see its comment.
   struct LiveStats {
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> ground_full{0};

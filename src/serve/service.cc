@@ -17,28 +17,6 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Registry mirrors of the serving events; resolved once.
-struct ServeCounters {
-  obs::Counter& admitted = obs::Registry::Global().GetCounter("serve.admitted");
-  obs::Counter& rejected = obs::Registry::Global().GetCounter("serve.rejected");
-  obs::Counter& completed =
-      obs::Registry::Global().GetCounter("serve.completed");
-  obs::Counter& deadline_preempted =
-      obs::Registry::Global().GetCounter("serve.deadline_preempted");
-  obs::Counter& waves = obs::Registry::Global().GetCounter("serve.waves");
-  obs::Counter& wave_coalesced =
-      obs::Registry::Global().GetCounter("serve.wave_coalesced");
-  obs::Histogram& queue_ms = obs::Registry::Global().GetHistogram(
-      "serve.queue_ms", {0.1, 1, 5, 20, 100, 500, 2000});
-  obs::Histogram& total_ms = obs::Registry::Global().GetHistogram(
-      "serve.total_ms", {1, 5, 20, 100, 500, 2000, 10000});
-
-  static ServeCounters& Get() {
-    static ServeCounters counters;
-    return counters;
-  }
-};
-
 std::string ShardKey(const std::string& instance, const std::string& program) {
   std::string key;
   key.reserve(instance.size() + 1 + program.size());
@@ -75,11 +53,9 @@ Status ServeService::RegisterInstance(const std::string& name,
 
 void ServeService::Submit(const ServeRequest& request, Callback callback) {
   CARL_TRACE_SCOPE("serve.admit");
-  ServeCounters& counters = ServeCounters::Get();
 
   auto reject = [&](Status status) {
     stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-    counters.rejected.Increment();
     ServeResponse response;
     response.request_id = request.request_id;
     response.code = status.code();
@@ -152,7 +128,6 @@ void ServeService::Submit(const ServeRequest& request, Callback callback) {
     return;
   }
   stats_.admitted.fetch_add(1, std::memory_order_relaxed);
-  counters.admitted.Increment();
   cv_.notify_one();
 }
 
@@ -234,7 +209,6 @@ void ServeService::WorkerLoop() {
 
 void ServeService::RunWave(Shard* shard) {
   CARL_TRACE_SCOPE("serve.wave");
-  ServeCounters& counters = ServeCounters::Get();
 
   std::deque<Pending> wave;
   {
@@ -245,12 +219,7 @@ void ServeService::RunWave(Shard* shard) {
   if (wave.empty()) return;
 
   stats_.waves.fetch_add(1, std::memory_order_relaxed);
-  counters.waves.Increment();
-  uint64_t followers = wave.size() - 1;
-  if (followers > 0) {
-    stats_.coalesced.fetch_add(followers, std::memory_order_relaxed);
-    counters.wave_coalesced.Add(followers);
-  }
+  stats_.coalesced.fetch_add(wave.size() - 1, std::memory_order_relaxed);
 
   // The first request that reaches execution with deadline remaining
   // creates the shard's engine (inside Execute, under its own guard
@@ -267,13 +236,16 @@ void ServeService::RunWave(Shard* shard) {
 
 void ServeService::Execute(Shard* shard, Pending* pending, bool coalesced) {
   CARL_TRACE_SCOPE("serve.request");
-  ServeCounters& counters = ServeCounters::Get();
+  static obs::Histogram& queue_ms_hist = obs::Registry::Global().GetHistogram(
+      "serve.queue_ms", {0.1, 1, 5, 20, 100, 500, 2000});
+  static obs::Histogram& total_ms_hist = obs::Registry::Global().GetHistogram(
+      "serve.total_ms", {1, 5, 20, 100, 500, 2000, 10000});
 
   ServeResponse response;
   response.request_id = pending->request.request_id;
   response.coalesced = coalesced;
   response.queue_ms = MsSince(pending->admitted_at);
-  counters.queue_ms.Record(response.queue_ms);
+  queue_ms_hist.Record(response.queue_ms);
 
   if (!shard->engine_status.ok()) {
     response.code = shard->engine_status.code();
@@ -289,7 +261,6 @@ void ServeService::Execute(Shard* shard, Pending* pending, bool coalesced) {
     double remaining = budget.deadline_ms - MsSince(pending->admitted_at);
     if (remaining <= 0.0) {
       stats_.deadline_preempted.fetch_add(1, std::memory_order_relaxed);
-      counters.deadline_preempted.Increment();
       response.code = StatusCode::kDeadlineExceeded;
       response.message = "deadline expired in admission queue";
       Respond(pending, std::move(response));
@@ -356,13 +327,12 @@ void ServeService::Execute(Shard* shard, Pending* pending, bool coalesced) {
   wire.request_id = response.request_id;
   wire.coalesced = response.coalesced;
   wire.queue_ms = response.queue_ms;
-  counters.total_ms.Record(MsSince(pending->admitted_at));
+  total_ms_hist.Record(MsSince(pending->admitted_at));
   Respond(pending, std::move(wire));
 }
 
 void ServeService::Respond(Pending* pending, ServeResponse response) {
   stats_.completed.fetch_add(1, std::memory_order_relaxed);
-  ServeCounters::Get().completed.Increment();
   pending->callback(response);
 }
 
@@ -389,7 +359,7 @@ std::optional<QuerySession::SessionStats> ServeService::ShardSessionStats(
     }
     session = it->second.session;
   }
-  // SnapshotStats is safe from any thread (relaxed-atomic mirrors).
+  // SnapshotStats is safe from any thread (relaxed-atomic counters).
   return session->SnapshotStats();
 }
 

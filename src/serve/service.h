@@ -22,7 +22,7 @@
 //    deadline/memory budget bound the grounding and a request that
 //    expired in the queue never triggers one — and every later request
 //    reuses that grounding. Identical variants therefore ground once
-//    per wave (serve.wave_coalesced ticks wave_size - 1), while
+//    per wave (ServeStats::coalesced grows by wave_size - 1), while
 //    requests for DISTINCT shards run concurrently on separate workers,
 //    all sharing the carl_exec pool underneath. A shard is active on at
 //    most one worker at a time, which is what makes the per-shard
@@ -37,11 +37,12 @@
 //    touching the shard's session — an unexecuted or guard-aborted
 //    request cannot poison the cache; see guard.h).
 //
-//  * Observability. Counters serve.admitted / serve.rejected /
-//    serve.waves / serve.wave_coalesced / serve.deadline_preempted,
-//    histograms serve.queue_ms / serve.total_ms, and trace spans
-//    serve.admit / serve.wave / serve.request (Chrome-traceable via
-//    carl_obs). Per-shard cache efficacy comes from
+//  * Observability. Service event counts (admitted, rejected,
+//    completed, deadline-preempted, waves, coalesced) live only in the
+//    service's relaxed atomics, read through Snapshot(); the latency
+//    histograms serve.queue_ms / serve.total_ms go to the obs registry,
+//    and trace spans serve.admit / serve.wave / serve.request are
+//    Chrome-traceable via carl_obs. Per-shard cache efficacy comes from
 //    QuerySession::SnapshotStats through ShardSessionStats().
 //
 // Start() spawns the workers; Submit() before Start() queues — tests
@@ -90,8 +91,11 @@ struct ServeOptions {
 /// Monotonic service-lifetime totals (relaxed-atomic snapshot).
 struct ServeStats {
   uint64_t admitted = 0;
-  uint64_t rejected = 0;            ///< admission rejections, any reason
-  uint64_t completed = 0;           ///< callbacks invoked post-execution
+  uint64_t rejected = 0;  ///< admission rejections, any reason
+  /// Callbacks of admitted requests, each counted once whatever the
+  /// outcome: executed, preempted in the queue, failed engine creation
+  /// or failed by Shutdown(). Equals `admitted` once Shutdown() returns.
+  uint64_t completed = 0;
   uint64_t deadline_preempted = 0;  ///< expired in queue, never executed
   uint64_t waves = 0;
   uint64_t coalesced = 0;  ///< wave followers riding the leader's ground

@@ -248,7 +248,8 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
   // enumeration comes from the cache.
   Result<double> derived = answer("MAX_Score[A] <= Prestige[A]?");
   ASSERT_TRUE(derived.ok()) << derived.status();
-  EXPECT_EQ(session->stats().ground_misses, 2u);  // base + variant grounded
+  // base + variant grounded
+  EXPECT_EQ(session->SnapshotStats().ground_full, 2u);
   EXPECT_GT(session->binding_cache().size(), 0u);
   EXPECT_GT(session->binding_cache().hits(), 0u)
       << "variant re-grounding re-enumerated shared rule conditions";
@@ -275,7 +276,9 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
                   .ok());
   Result<double> after = answer("MAX_Score[A] <= Prestige[A]?");
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(session->stats().ground_misses, 4u);  // re-grounded both variants
+  // Both variants refreshed, by extend or full re-ground.
+  QuerySession::SessionStats stats = session->SnapshotStats();
+  EXPECT_EQ(stats.ground_full + stats.ground_extends, 4u);
 }
 
 }  // namespace

@@ -459,8 +459,8 @@ TEST(QuerySessionTest, RepeatedGroundingHitsTheCache) {
       session.Ground(*model);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // same cached object
-  EXPECT_EQ(session.stats().ground_misses, 1u);
-  EXPECT_EQ(session.stats().ground_hits, 1u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 1u);
+  EXPECT_EQ(session.SnapshotStats().cache_hits, 1u);
   EXPECT_EQ(session.num_cached_groundings(), 1u);
 }
 
@@ -482,14 +482,15 @@ TEST(QuerySessionTest, DerivedAggregationRegroundSharedAcrossEngines) {
   };
 
   ASSERT_TRUE(answer_with_fresh_engine().ok());
-  EXPECT_EQ(session->stats().ground_misses, 2u);  // base + MAX_Score variant
-  size_t misses_after_first = session->stats().ground_misses;
+  // base + MAX_Score variant
+  EXPECT_EQ(session->SnapshotStats().ground_full, 2u);
 
   // A second engine repeats the pipeline: base grounding and the derived
   // variant both come from the cache — zero new groundings.
   ASSERT_TRUE(answer_with_fresh_engine().ok());
-  EXPECT_EQ(session->stats().ground_misses, misses_after_first);
-  EXPECT_GE(session->stats().ground_hits, 2u);
+  EXPECT_EQ(session->SnapshotStats().ground_full, 2u);
+  EXPECT_EQ(session->SnapshotStats().ground_extends, 0u);
+  EXPECT_GE(session->SnapshotStats().cache_hits, 2u);
 }
 
 TEST(QuerySessionTest, ValueColumnsMemoizeAndMatchNodeValues) {
@@ -520,8 +521,8 @@ TEST(QuerySessionTest, ValueColumnsMemoizeAndMatchNodeValues) {
       session.ValueColumn(*grounded, *score);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(col->get(), again->get());  // memoized
-  EXPECT_EQ(session.stats().column_misses, 1u);
-  EXPECT_EQ(session.stats().column_hits, 1u);
+  EXPECT_EQ(session.SnapshotStats().column_misses, 1u);
+  EXPECT_EQ(session.SnapshotStats().column_hits, 1u);
 
   // Unknown groundings and attributes are rejected, not miscached.
   EXPECT_FALSE(session.ValueColumn(nullptr, *score).ok());
@@ -546,7 +547,7 @@ TEST(QuerySessionTest, EvictionBoundsTheCache) {
       (*engine)->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"));
   ASSERT_TRUE(response.status.ok());
   EXPECT_EQ(session->num_cached_groundings(), 1u);
-  EXPECT_GE(session->stats().ground_evictions, 1u);
+  EXPECT_GE(session->SnapshotStats().ground_evictions, 1u);
 }
 
 TEST(QuerySessionTest, EngineSurvivesEvictionOfItsGrounding) {
@@ -578,7 +579,7 @@ TEST(QuerySessionTest, EngineSurvivesEvictionOfItsGrounding) {
   QueryResponse evicting =
       evictor->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"));
   ASSERT_TRUE(evicting.status.ok());
-  EXPECT_GE(session->stats().ground_evictions, 1u);
+  EXPECT_GE(session->SnapshotStats().ground_evictions, 1u);
 
   QueryResponse after = holder_engine->Answer(request);
   ASSERT_TRUE(after.status.ok());
@@ -611,7 +612,8 @@ TEST(QuerySessionTest, ValueMutationInvalidatesCachedGroundings) {
   Result<std::shared_ptr<const GroundedModel>> after = session.Ground(*model);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(before->get(), after->get());  // re-grounded, not served stale
-  EXPECT_EQ(session.stats().ground_misses, 2u);
+  QuerySession::SessionStats stats = session.SnapshotStats();
+  EXPECT_EQ(stats.ground_full + stats.ground_extends, 2u);
   NodeId changed = after->get()->graph().FindNode(*score, target);
   ASSERT_NE(changed, kInvalidNode);
   EXPECT_EQ(after->get()->NodeValue(changed), std::optional<double>(123.5));

@@ -60,6 +60,19 @@ void ExpectPointerIdentical(
   }
 }
 
+// Session counters tick on successful grounds only: an aborted pass must
+// leave every field as it found it.
+void ExpectSameStats(const QuerySession::SessionStats& before,
+                     const QuerySession::SessionStats& after,
+                     const char* what) {
+  EXPECT_EQ(before.cache_hits, after.cache_hits) << what;
+  EXPECT_EQ(before.ground_full, after.ground_full) << what;
+  EXPECT_EQ(before.ground_extends, after.ground_extends) << what;
+  EXPECT_EQ(before.column_hits, after.column_hits) << what;
+  EXPECT_EQ(before.column_misses, after.column_misses) << what;
+  EXPECT_EQ(before.ground_evictions, after.ground_evictions) << what;
+}
+
 class FaultFuzzTest : public ::testing::Test {
  protected:
   // A leaked arming would fire in an unrelated test.
@@ -131,8 +144,10 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
         EXPECT_EQ(first_token.reason(), guard::StopReason::kFault);
 
         // Second aborted pass over reconciled state: the cache must be
-        // pointer-identical across it.
+        // pointer-identical across it, and no session counter moves.
         auto before = session.binding_cache().SnapshotEntries();
+        const QuerySession::SessionStats stats_before =
+            session.SnapshotStats();
         uint64_t faults_before = CounterValue("fault_injected");
         guard::ExecToken second_token;
         guard::FaultRegistry::Global().Arm(site, 1);
@@ -147,6 +162,7 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
         ExpectPointerIdentical(before,
                                session.binding_cache().SnapshotEntries(),
                                site);
+        ExpectSameStats(stats_before, session.SnapshotStats(), site);
 
         // The next (unguarded) query runs normally and canonically
         // matches a from-scratch ground of the current state.
@@ -157,6 +173,10 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
         ASSERT_TRUE(recovered.ok()) << recovered.status();
         EXPECT_TRUE(Canonicalize(**recovered) == Canonicalize(*fresh))
             << "post-fault session grounding diverged from scratch";
+        const QuerySession::SessionStats stats_after = session.SnapshotStats();
+        EXPECT_EQ(stats_after.ground_full + stats_after.ground_extends,
+                  stats_before.ground_full + stats_before.ground_extends + 1)
+            << "the recovered ground must count exactly once";
       }
     }
   }
@@ -201,7 +221,7 @@ TEST_F(FaultFuzzTest, DeltaTrimFaultFallsBackToFullReground) {
     ScopedThreads scoped_threads(threads);
     QuerySession session(&db);
     ASSERT_TRUE(session.Ground(*model).ok());
-    uint64_t extends_before = session.stats().ground_extends;
+    const QuerySession::SessionStats stats_before = session.SnapshotStats();
     uint64_t trims_before = CounterValue("delta_log_trimmed");
 
     // The faulted trim drops the mutation's window: DeltaSince comes
@@ -215,8 +235,12 @@ TEST_F(FaultFuzzTest, DeltaTrimFaultFallsBackToFullReground) {
     Result<std::shared_ptr<const GroundedModel>> after =
         session.Ground(*model);
     ASSERT_TRUE(after.ok()) << after.status();
-    EXPECT_EQ(session.stats().ground_extends, extends_before)
+    EXPECT_EQ(session.SnapshotStats().ground_extends,
+              stats_before.ground_extends)
         << "trimmed delta must not be extended";
+    EXPECT_EQ(session.SnapshotStats().ground_full,
+              stats_before.ground_full + 1)
+        << "trimmed delta must re-ground from scratch";
     EXPECT_EQ(CounterValue("delta_log_trimmed"), trims_before + 1)
         << "forced re-ground must be accounted by delta_log_trimmed";
 

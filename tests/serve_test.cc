@@ -6,7 +6,7 @@
 //    path are BIT-identical to direct CarlEngine calls (doubles compared
 //    by bit pattern, so NaN std_error fields count too);
 //  * an identical-query wave grounds exactly once — the followers
-//    coalesce onto the leader's grounding (serve.wave_coalesced and
+//    coalesce onto the leader's grounding (ServeStats::coalesced and
 //    QuerySession ground_full prove it);
 //  * a per-request deadline surfaces as a kDeadlineExceeded wire error
 //    WITHOUT poisoning the shared session: the next request over the
@@ -400,6 +400,9 @@ TEST_F(ServeServiceTest, DeadlineSurfacesWithoutPoisoningTheSession) {
   ExpectMatchesDirect(after, direct, "post-deadline");
 
   service.Shutdown();
+  ServeStats stats = service.Snapshot();
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.completed, stats.admitted);
 }
 
 // A request whose deadline expired while queued is preempted BEFORE the
@@ -442,7 +445,11 @@ TEST_F(ServeServiceTest, QueueExpiredRequestDoesNotGround) {
   ASSERT_TRUE(session_stats.has_value());
   EXPECT_EQ(session_stats->ground_full, 1u);
 
+  // The preempted request's callback counts as completed too.
   service.Shutdown();
+  ServeStats stats = service.Snapshot();
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.completed, stats.admitted);
 }
 
 TEST_F(ServeServiceTest, ShutdownFailsUnexecutedRequests) {
@@ -457,6 +464,10 @@ TEST_F(ServeServiceTest, ShutdownFailsUnexecutedRequests) {
                  });
   service.Shutdown();
   EXPECT_EQ(future.get().code, StatusCode::kUnavailable);
+  // The shutdown orphan's callback counts as completed.
+  ServeStats stats = service.Snapshot();
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.completed, stats.admitted);
 
   // Post-shutdown submits reject immediately.
   ServeDriver driver(&service);
