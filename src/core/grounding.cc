@@ -162,9 +162,6 @@ BindingCache::SnapshotEntries() const {
 
 namespace {
 
-// Node/edge merges below this many bindings run the plain serial loop.
-constexpr size_t kMinBindingsParallelMerge = 4096;
-
 // Distinguished variables of a rule: all variables appearing in the head
 // and body attribute references, in first-occurrence order.
 std::vector<std::string> DistinguishedVars(
@@ -424,58 +421,6 @@ struct RuleProbe {
   std::vector<uint8_t> body_state;
 };
 
-// The historical per-binding merge loop of one rule: resolve, intern in
-// binding order, buffer edges, one AddEdges batch. This is the reference
-// semantics every parallel path below reproduces bit-for-bit.
-void MergeRuleSerial(const CompiledRule& rule, CausalGraph* graph,
-                     size_t* num_groundings) {
-  CARL_TRACE_SCOPE("grounding.rule.merge_serial");
-  const BindingTable& bindings = *rule.bindings;
-  std::vector<SymbolId> scratch(rule.max_arity());
-  std::vector<SymbolId> body_scratch(rule.max_arity());
-  std::vector<CausalGraph::Edge> edges;
-  edges.reserve(bindings.size() * rule.body.size());
-  graph->ReserveEdges(bindings.size() * rule.body.size());
-  for (size_t i = 0; i < bindings.size(); ++i) {
-    TupleView binding = bindings.row(i);
-    // Identity refs ARE the binding row: intern with the memoized row
-    // hash instead of re-hashing (identity implies resolvable).
-    if (!rule.head.identity && !rule.head.Resolve(binding, scratch.data())) {
-      continue;
-    }
-    if (rule.require_all) {
-      bool all = true;
-      for (const CompiledRef& b : rule.body) {
-        if (b.unresolvable) {
-          all = false;
-          break;
-        }
-      }
-      if (!all) continue;
-    }
-    NodeId head_node =
-        rule.head.identity
-            ? graph->AddNode(rule.head.attribute, binding,
-                             bindings.row_hash(i))
-            : graph->AddNode(rule.head.attribute,
-                             TupleView(scratch.data(), rule.head.arity()));
-    for (const CompiledRef& b : rule.body) {
-      NodeId body_node;
-      if (b.identity) {
-        body_node = graph->AddNode(b.attribute, binding,
-                                   bindings.row_hash(i));
-      } else {
-        if (!b.Resolve(binding, body_scratch.data())) continue;
-        body_node = graph->AddNode(
-            b.attribute, TupleView(body_scratch.data(), b.arity()));
-      }
-      edges.push_back(CausalGraph::Edge{body_node, head_node});
-    }
-    ++*num_groundings;
-  }
-  graph->AddEdges(edges);
-}
-
 // Phase A body: resolve bindings [begin, end) of one rule and probe the
 // graph's node interner read-only, results into per-binding slots.
 void ProbeRuleRange(const CompiledRule& rule, const CausalGraph& graph,
@@ -515,8 +460,8 @@ void ProbeRuleRange(const CompiledRule& rule, const CausalGraph& graph,
   }
 }
 
-// Whether binding `i` of one rule survives the skip checks — the exact
-// accept condition of the historical per-binding splice loop.
+// Whether binding `i` of one rule survives the skip checks: the head
+// resolves and, for aggregate rules, every body ref resolves too.
 inline bool AcceptedBinding(const CompiledRule& rule, const RuleProbe& probe,
                             size_t i, size_t nbody) {
   if (probe.head_state[i] == kSkip) return false;
@@ -528,38 +473,21 @@ inline bool AcceptedBinding(const CompiledRule& rule, const RuleProbe& probe,
   return true;
 }
 
-// Merges every rule's groundings into the graph, cross-rule parallel.
-//
-// Serial contexts (or small total inputs) run the plain per-rule loop in
-// rule order. Parallel contexts split the work in two phases: phase A
-// resolves every rule's references and probes the graph's node interner
-// read-only across ALL rules at once (the hash-heavy part — after step
-// 1's bulk build nearly every grounding already has a node, and the rules
-// only conflict on node interning, which the probe never mutates); phase
-// B is the parallel splice: per-chunk prefix sums over the accepted
-// probes compute every edge's destination up front, a serial pass interns
-// the rare misses in exact rule/binding order, the chunks then fill their
-// pre-sized per-rule edge arrays concurrently at disjoint offsets, and
-// one batched sorted-run build commits all rules' edges in rule order.
-// Node ids, edge order, and num_groundings are bit-identical for every
-// thread count. `splice_s` (optional) receives phase B's wall time — in
-// the serial fallback the whole fused probe+splice loop counts.
+// Merges every rule's groundings into the graph, cross-rule parallel, in
+// the same steps at every thread count. Phase A resolves every rule's
+// references and probes the graph's node interner read-only across ALL
+// rules at once (the hash-heavy part — after step 1's bulk build nearly
+// every grounding already has a node, and the rules only conflict on node
+// interning, which the probe never mutates). Phase B is the splice:
+// per-chunk prefix sums over the accepted probes compute every edge's
+// destination up front, a serial pass interns the rare misses in exact
+// rule/binding order, the chunks then fill one flat edge array
+// concurrently at disjoint offsets, and one AddEdges commits it in rule
+// order. Node ids, edge order, and num_groundings are bit-identical for
+// every thread count. `splice_s` (optional) receives phase B's wall time.
 void MergeAllRuleGroundings(const std::vector<CompiledRule>& rules,
                             ExecContext& ctx, CausalGraph* graph,
                             size_t* num_groundings, double* splice_s) {
-  size_t total_bindings = 0;
-  for (const CompiledRule& rule : rules) {
-    total_bindings += rule.bindings->size();
-  }
-  if (ctx.serial() || total_bindings < kMinBindingsParallelMerge) {
-    obs::MonotonicTimer timer;
-    for (const CompiledRule& rule : rules) {
-      MergeRuleSerial(rule, graph, num_groundings);
-    }
-    if (splice_s != nullptr) *splice_s += timer.Seconds();
-    return;
-  }
-
   // Phase A (parallel): one flat job list over every rule's deterministic
   // chunk plan, so small rules ride along with large ones and the pool
   // stays balanced across rules.
@@ -628,14 +556,14 @@ void MergeAllRuleGroundings(const std::vector<CompiledRule>& rules,
   }
   if (guard::StopRequested()) return;
 
-  // Serial exclusive scan: each chunk's base offset within ITS RULE's
-  // edge array (chunks of one rule are contiguous in `chunks`), plus the
-  // per-rule edge totals and the grand grounding count.
+  // Serial exclusive scan: each chunk's base offset within the flat edge
+  // array (chunks are in rule-then-binding order, so the array is too),
+  // plus the grand grounding count.
   std::vector<size_t> chunk_edge_base(chunks.size(), 0);
-  std::vector<size_t> rule_edge_total(rules.size(), 0);
+  size_t total_edges = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
-    chunk_edge_base[c] = rule_edge_total[chunks[c].rule];
-    rule_edge_total[chunks[c].rule] += chunk_edges[c];
+    chunk_edge_base[c] = total_edges;
+    total_edges += chunk_edges[c];
     *num_groundings += chunk_groundings[c];
   }
 
@@ -684,15 +612,10 @@ void MergeAllRuleGroundings(const std::vector<CompiledRule>& rules,
     }
   }
 
-  // B3 (parallel): every node id is now known, so the chunks fill their
-  // rule's pre-sized edge array concurrently at the disjoint offsets the
-  // prefix sums assigned.
-  std::vector<std::vector<CausalGraph::Edge>> rule_edges(rules.size());
-  size_t total_edges = 0;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    rule_edges[r].resize(rule_edge_total[r]);
-    total_edges += rule_edge_total[r];
-  }
+  // B3 (parallel): every node id is now known, so the chunks fill the
+  // flat edge array concurrently at the disjoint offsets the prefix sums
+  // assigned.
+  std::vector<CausalGraph::Edge> edges(total_edges);
   {
     CARL_TRACE_SCOPE("splice.parallel");
     ParallelFor(ctx, chunks.size(), [&](size_t begin, size_t end, size_t) {
@@ -701,28 +624,26 @@ void MergeAllRuleGroundings(const std::vector<CompiledRule>& rules,
         const CompiledRule& rule = rules[chunk.rule];
         const RuleProbe& probe = probes[chunk.rule];
         const size_t nbody = rule.body.size();
-        CausalGraph::Edge* out = rule_edges[chunk.rule].data();
         size_t at = chunk_edge_base[c];
         for (size_t i = chunk.begin; i < chunk.end; ++i) {
           if (!AcceptedBinding(rule, probe, i, nbody)) continue;
           NodeId h = probe.head_node[i];
           for (size_t b = 0; b < nbody; ++b) {
             if (probe.body_state[i * nbody + b] == kSkip) continue;
-            CARL_DCHECK(at < rule_edges[chunk.rule].size());
-            out[at++] = CausalGraph::Edge{probe.body_node[i * nbody + b], h};
+            CARL_DCHECK(at < edges.size());
+            edges[at++] = CausalGraph::Edge{probe.body_node[i * nbody + b], h};
           }
         }
         CARL_DCHECK(at == chunk_edge_base[c] + chunk_edges[c]);
       }
     });
   }
-  // A stop mid-fill leaves zero-initialized Edge slots; committing them
-  // would splice garbage self-loops on node 0.
+  // A stop mid-fill leaves default Edge slots; committing them would
+  // splice garbage edges.
   if (guard::StopRequested()) return;
 
-  // B4: one batched commit, rule order == batch order.
-  graph->ReserveEdges(total_edges);
-  graph->AddEdgeBatches(rule_edges, ctx);
+  // B4: one commit, rule order == array order.
+  graph->AddEdges(edges);
   if (splice_s != nullptr) *splice_s += splice_timer.Seconds();
 }
 
@@ -964,7 +885,7 @@ Result<GroundedModel> GroundModel(const Instance& instance,
 
   // 3. Merge every rule's nodes and edges: cross-rule parallel read-only
   // probe, prefix-summed parallel splice with serial miss interning, one
-  // batched sorted-run edge commit in rule order.
+  // edge commit in rule order.
   phase_timer.Reset();
   {
     CARL_TRACE_SCOPE("grounding.merge");
@@ -1184,11 +1105,10 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
 
   // 3. Merge the delta groundings in rule order through the graph's
   // post-build edge overlay — the same probe-then-splice pipeline as a
-  // full ground (small deltas take its fused serial fallback). AddNode
-  // and the edge merge dedupe, so a binding the base already committed
-  // (its projection also has an all-old witness) changes nothing in the
-  // graph — only num_groundings_ counts it again, which is why the
-  // extend contract excludes that counter.
+  // full ground. AddNode and the edge commit dedupe, so a binding the
+  // base already committed (its projection also has an all-old witness)
+  // changes nothing in the graph — only num_groundings_ counts it again,
+  // which is why the extend contract excludes that counter.
   phase_timer.Reset();
   {
     CARL_TRACE_SCOPE("grounding.extend.splice");

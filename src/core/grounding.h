@@ -11,16 +11,17 @@
 // bulk-built per attribute, rule bindings are enumerated in parallel
 // shards of the root atom's candidate rows as columnar BindingTables
 // (streamed straight into the node/edge merge — no per-binding Tuple is
-// ever built), and the rule merges run cross-rule parallel: one flat
+// ever built), and the rule merges run cross-rule parallel in the same
+// steps at every thread count, for ground and extend alike: one flat
 // probe pass resolves every rule's groundings against the bulk-built node
-// set concurrently (read-only FindNode, the hash-heavy part), then a
-// serial splice walks the rules in model order interning the rare misses
-// and committing each rule's edges through the graph's sorted-run batch
-// build. Node values are finalized by copying the instance's typed
+// set concurrently (read-only FindNode, the hash-heavy part), a serial
+// pass interns the rare misses in rule order, the edges are filled in
+// parallel into one rule-ordered array, and one CausalGraph::AddEdges
+// commits it. Node values are finalized by copying the instance's typed
 // per-attribute columns onto the row-aligned node-id columns. Shard
-// outputs merge in shard order and splices run in rule order, so the
+// outputs merge in shard order and edges commit in rule order, so the
 // grounded graph — node ids, edge insertion order, values — is identical
-// for every thread count, bit-for-bit with the serial implementation.
+// for every thread count.
 //
 // Repeated groundings over one unchanged instance can share rule-condition
 // binding tables through a BindingCache (QuerySession owns one): a derived
@@ -151,11 +152,10 @@ class BindingCache {
 struct GroundingPhaseStats {
   double node_build_s = 0.0;  ///< step 1: bulk node build
   double enumerate_s = 0.0;   ///< rule compile + binding enumeration
-  double merge_s = 0.0;       ///< node/edge merge (probe + splice + batches)
-  /// Splice share of merge_s: prefix sums, miss interning, parallel edge
-  /// fills, and the batched edge commit. merge_s - splice_s is the
-  /// read-only probe. (In the serial fallback the whole per-rule loop is
-  /// one fused probe+splice and counts here.)
+  double merge_s = 0.0;       ///< node/edge merge (probe + splice)
+  /// Splice share of merge_s (phase B, at every thread count): prefix
+  /// sums, miss interning, the parallel edge fill, and the edge commit.
+  /// merge_s - splice_s is the read-only probe.
   double splice_s = 0.0;
   double finalize_s = 0.0;    ///< topo order + value pass
   /// The graph-build share of a pass (everything that touches the graph

@@ -7,51 +7,10 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "exec/parallel.h"
-#include "guard/guard.h"
+#include "obs/trace.h"
 #include "relational/storage_stats.h"
 
 namespace carl {
-
-namespace causal_graph_internal {
-
-std::vector<PendingEdge> MergeEdgeRun(std::vector<PendingEdge> pending,
-                                      std::vector<EdgeKey>* committed) {
-  // Sort by (key, seq): equal keys group together with their first
-  // occurrence leading the group.
-  std::sort(pending.begin(), pending.end(),
-            [](const PendingEdge& a, const PendingEdge& b) {
-              return a.key == b.key ? a.seq < b.seq : a.key < b.key;
-            });
-  std::vector<PendingEdge> survivors;
-  survivors.reserve(pending.size());
-  size_t keep = 0;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    if (i > 0 && pending[i].key == pending[i - 1].key) continue;
-    if (std::binary_search(committed->begin(), committed->end(),
-                           pending[i].key)) {
-      continue;
-    }
-    survivors.push_back(pending[i]);
-    pending[keep++] = pending[i];  // compact the new keys, still sorted
-  }
-  // Merge the new keys into the committed run (both halves sorted).
-  size_t old_size = committed->size();
-  committed->reserve(old_size + keep);
-  for (size_t i = 0; i < keep; ++i) committed->push_back(pending[i].key);
-  std::inplace_merge(committed->begin(), committed->begin() + old_size,
-                     committed->end());
-  // Replay the survivors in their original call order.
-  std::sort(survivors.begin(), survivors.end(),
-            [](const PendingEdge& a, const PendingEdge& b) {
-              return a.seq < b.seq;
-            });
-  return survivors;
-}
-
-}  // namespace causal_graph_internal
-
-using causal_graph_internal::EdgeKey;
-using causal_graph_internal::PendingEdge;
 
 const std::vector<NodeId> CausalGraph::kNoNodes = {};
 
@@ -62,7 +21,6 @@ CausalGraph::CausalGraph(CausalGraph&& o) noexcept
       index_(std::move(o.index_)),
       by_attribute_(std::move(o.by_attribute_)),
       edge_order_(std::move(o.edge_order_)),
-      edge_run_(std::move(o.edge_run_)),
       parent_offsets_(std::move(o.parent_offsets_)),
       parent_data_(std::move(o.parent_data_)),
       child_offsets_(std::move(o.child_offsets_)),
@@ -79,7 +37,6 @@ CausalGraph& CausalGraph::operator=(CausalGraph&& o) noexcept {
   index_ = std::move(o.index_);
   by_attribute_ = std::move(o.by_attribute_);
   edge_order_ = std::move(o.edge_order_);
-  edge_run_ = std::move(o.edge_run_);
   parent_offsets_ = std::move(o.parent_offsets_);
   parent_data_ = std::move(o.parent_data_);
   child_offsets_ = std::move(o.child_offsets_);
@@ -96,9 +53,17 @@ CausalGraph::CausalGraph(const CausalGraph& o)
       arg_offsets_(o.arg_offsets_),
       index_(o.index_),
       by_attribute_(o.by_attribute_),
-      edge_order_(o.edge_order_),
-      edge_run_(o.edge_run_) {
-  // The copy recompacts its own CSR on first read.
+      edge_order_(o.edge_order_) {
+  // The CSR comes along, so a copy that is extended folds in only its
+  // new edges. Taken under the source's lock: a concurrent reader of
+  // `o` may be compacting it.
+  std::lock_guard<std::mutex> lock(o.adjacency_mu_);
+  parent_offsets_ = o.parent_offsets_;
+  parent_data_ = o.parent_data_;
+  child_offsets_ = o.child_offsets_;
+  child_data_ = o.child_data_;
+  adjacency_fresh_.store(o.adjacency_fresh_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
 }
 
 CausalGraph& CausalGraph::operator=(const CausalGraph& o) {
@@ -257,122 +222,120 @@ NodeId CausalGraph::FindNode(AttributeId attribute, TupleView args,
                                    : static_cast<NodeId>(found);
 }
 
-void CausalGraph::ReserveEdges(size_t expected) {
-  edge_run_.reserve(edge_run_.size() + expected);
-  edge_order_.reserve(edge_order_.size() + expected);
-}
-
-void CausalGraph::AddEdge(NodeId from, NodeId to) {
-  CARL_DCHECK(from >= 0 && static_cast<size_t>(from) < num_nodes());
-  CARL_DCHECK(to >= 0 && static_cast<size_t>(to) < num_nodes());
-  EdgeKey key{from, to};
-  auto it = std::lower_bound(edge_run_.begin(), edge_run_.end(), key);
-  if (it != edge_run_.end() && *it == key) return;
-  edge_run_.insert(it, key);
-  edge_order_.push_back(Edge{from, to});
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
-}
-
 void CausalGraph::AddEdges(const std::vector<Edge>& batch) {
-  std::vector<PendingEdge> pending;
-  pending.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    CARL_DCHECK(batch[i].from >= 0 &&
-                static_cast<size_t>(batch[i].from) < num_nodes());
-    CARL_DCHECK(batch[i].to >= 0 &&
-                static_cast<size_t>(batch[i].to) < num_nodes());
-    pending.push_back(
-        PendingEdge{EdgeKey{batch[i].from, batch[i].to},
-                    static_cast<uint32_t>(i)});
-  }
-  std::vector<PendingEdge> survivors =
-      MergeEdgeRun(std::move(pending), &edge_run_);
-  if (survivors.empty()) return;
-  edge_order_.reserve(edge_order_.size() + survivors.size());
-  for (const PendingEdge& e : survivors) {
-    edge_order_.push_back(Edge{static_cast<NodeId>(e.key.from),
-                               static_cast<NodeId>(e.key.to)});
-  }
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
-}
-
-void CausalGraph::AddEdgeBatches(const std::vector<std::vector<Edge>>& batches,
-                                 ExecContext& ctx) {
-  // Global sequence layout: batch b's edge i gets seq offsets[b] + i, so
-  // ONE merged run reproduces sequential per-batch AddEdges exactly —
-  // lowest global seq wins every duplicate (an earlier batch's occurrence
-  // beats a later one, as it would have committed first), and survivors
-  // replay in batch-then-index order.
-  std::vector<size_t> offsets(batches.size() + 1, 0);
-  for (size_t b = 0; b < batches.size(); ++b) {
-    offsets[b + 1] = offsets[b] + batches[b].size();
-  }
-  const size_t total = offsets.back();
-  if (total == 0) return;
-  CARL_CHECK(total <= 0xFFFFFFFFull)
-      << "AddEdgeBatches: pending sequence exceeds 32-bit seq";
-  std::vector<PendingEdge> pending(total);
-  ParallelFor(ctx, batches.size(), [&](size_t begin, size_t end, size_t) {
-    for (size_t b = begin; b < end; ++b) {
-      const std::vector<Edge>& batch = batches[b];
-      PendingEdge* out = pending.data() + offsets[b];
-      for (size_t i = 0; i < batch.size(); ++i) {
-        CARL_DCHECK(batch[i].from >= 0 &&
-                    static_cast<size_t>(batch[i].from) < num_nodes());
-        CARL_DCHECK(batch[i].to >= 0 &&
-                    static_cast<size_t>(batch[i].to) < num_nodes());
-        out[i] = PendingEdge{EdgeKey{batch[i].from, batch[i].to},
-                             static_cast<uint32_t>(offsets[b] + i)};
-      }
-    }
-  });
-  // A guard stop skips ParallelFor bodies, leaving default-initialized
-  // pending slots; the pass is abandoned (the caller drops its
-  // partially-built graph), so leave the committed run untouched.
-  if (guard::StopRequested()) return;
-  std::vector<PendingEdge> survivors =
-      MergeEdgeRun(std::move(pending), &edge_run_);
-  if (survivors.empty()) return;
-  edge_order_.reserve(edge_order_.size() + survivors.size());
-  for (const PendingEdge& e : survivors) {
-    edge_order_.push_back(Edge{static_cast<NodeId>(e.key.from),
-                               static_cast<NodeId>(e.key.to)});
-  }
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
-}
-
-void CausalGraph::RebuildAdjacency() const {
+  CARL_TRACE_SCOPE("graph.add_edges");
+  if (batch.empty()) return;
+  CARL_CHECK(batch.size() <= 0xFFFFFFFFull)
+      << "AddEdges: batch positions exceed 32 bits";
+  // The dedupe reads each target's committed parents from the CSR.
+  EnsureAdjacency();
   const size_t n = num_nodes();
-  const size_t e = edge_order_.size();
-  parent_offsets_.assign(n + 1, 0);
-  child_offsets_.assign(n + 1, 0);
-  for (const Edge& edge : edge_order_) {
-    ++parent_offsets_[edge.to + 1];
-    ++child_offsets_[edge.from + 1];
+
+  // Counting sort of batch positions by target, stable in batch order.
+  // After the fill, target t's bucket is [t ? ends[t - 1] : 0, ends[t]).
+  std::vector<uint32_t> ends(n + 1, 0);
+  for (const Edge& edge : batch) {
+    CARL_DCHECK(edge.from >= 0 && static_cast<size_t>(edge.from) < n);
+    CARL_DCHECK(edge.to >= 0 && static_cast<size_t>(edge.to) < n);
+    ++ends[edge.to + 1];
   }
-  for (size_t i = 1; i <= n; ++i) {
-    parent_offsets_[i] += parent_offsets_[i - 1];
-    child_offsets_[i] += child_offsets_[i - 1];
+  for (size_t t = 1; t <= n; ++t) ends[t] += ends[t - 1];
+  std::vector<uint32_t> by_target(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    by_target[ends[batch[i].to]++] = static_cast<uint32_t>(i);
   }
-  parent_data_.resize(e);
-  child_data_.resize(e);
-  // Fill in commit order: within each node the list order equals the
-  // order a serial per-node push_back loop produced.
-  std::vector<uint32_t> pcur(parent_offsets_.begin(),
-                             parent_offsets_.end() - 1);
-  std::vector<uint32_t> ccur(child_offsets_.begin(),
-                             child_offsets_.end() - 1);
-  for (const Edge& edge : edge_order_) {
-    parent_data_[pcur[edge.to]++] = edge.from;
-    child_data_[ccur[edge.from]++] = edge.to;
+
+  // Per target: stamp its committed parents, then keep the first
+  // occurrence of each unstamped `from`.
+  std::vector<NodeId> seen(n, kInvalidNode);
+  std::vector<uint8_t> keep(batch.size(), 0);
+  size_t survivors = 0;
+  uint32_t begin = 0;
+  for (size_t t = 0; t < n; ++t) {
+    const uint32_t end = ends[t];
+    if (begin == end) continue;
+    const NodeId target = static_cast<NodeId>(t);
+    for (uint32_t k = parent_offsets_[t]; k < parent_offsets_[t + 1]; ++k) {
+      seen[parent_data_[k]] = target;
+    }
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t i = by_target[k];
+      NodeId& stamp = seen[batch[i].from];
+      if (stamp == target) continue;
+      stamp = target;
+      keep[i] = 1;
+      ++survivors;
+    }
+    begin = end;
+  }
+  if (survivors == 0) return;
+  // The first commit (a full ground) sizes the log exactly; later ones
+  // (extends) grow it geometrically instead of copying it every time.
+  if (edge_order_.empty()) edge_order_.reserve(survivors);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (keep[i]) edge_order_.push_back(batch[i]);
+  }
+  adjacency_fresh_.store(false, std::memory_order_relaxed);
+}
+
+namespace {
+
+// Folds the edges committed since the last compaction (the log tail past
+// offsets.back()) into one side of the CSR in place: parents keyed by
+// edge.to, children by edge.from. A node's committed segment shifts right
+// by the number of tail edges keyed below it, and its own tail edges
+// follow the segment in commit order — exactly what a from-scratch
+// counting build over the whole log produces. New nodes get empty
+// ranges, and an empty CSR makes this the full build.
+void FoldTail(const std::vector<CausalGraph::Edge>& log, size_t n,
+              bool parents, std::vector<uint32_t>* offsets_out,
+              std::vector<NodeId>* data_out) {
+  std::vector<uint32_t>& offsets = *offsets_out;
+  std::vector<NodeId>& data = *data_out;
+  if (offsets.empty()) offsets.push_back(0);
+  const uint32_t first = offsets.back();
+  offsets.resize(n + 1, first);
+  if (first == log.size()) return;
+  auto key = [parents](const CausalGraph::Edge& e) {
+    return static_cast<size_t>(parents ? e.to : e.from);
+  };
+  // at[i]: the tail edges keyed below node i — how far node i shifts.
+  std::vector<uint32_t> at(n + 1, 0);
+  for (size_t k = first; k < log.size(); ++k) ++at[key(log[k]) + 1];
+  for (size_t i = 1; i <= n; ++i) at[i] += at[i - 1];
+  // Shift back to front, so nothing is overwritten before it moves. The
+  // shift only changes above a node with tail edges, so each run of
+  // equal shifts moves with one memmove.
+  data.resize(log.size());
+  uint32_t run_end = first;
+  for (size_t i = n; i-- > 0 && at[i + 1] > 0;) {
+    if ((i > 0 && at[i - 1] == at[i]) || run_end == offsets[i]) continue;
+    std::memmove(data.data() + offsets[i] + at[i], data.data() + offsets[i],
+                 (run_end - offsets[i]) * sizeof(NodeId));
+    run_end = offsets[i];
+  }
+  // New offsets; at[i] becomes node i's tail cursor, just past its
+  // shifted segment.
+  for (size_t i = 0; i < n; ++i) {
+    at[i] += offsets[i + 1];
+    offsets[i + 1] += at[i + 1];
+  }
+  for (size_t k = first; k < log.size(); ++k) {
+    const CausalGraph::Edge& e = log[k];
+    data[at[key(e)]++] = parents ? e.from : e.to;
   }
 }
+
+}  // namespace
 
 void CausalGraph::EnsureAdjacency() const {
   if (adjacency_fresh_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(adjacency_mu_);
   if (adjacency_fresh_.load(std::memory_order_relaxed)) return;
-  RebuildAdjacency();
+  FoldTail(edge_order_, num_nodes(), /*parents=*/true, &parent_offsets_,
+           &parent_data_);
+  FoldTail(edge_order_, num_nodes(), /*parents=*/false, &child_offsets_,
+           &child_data_);
   adjacency_fresh_.store(true, std::memory_order_release);
 }
 
@@ -411,18 +374,17 @@ Result<std::vector<NodeId>> CausalGraph::TopologicalOrder() const {
     in_degree[node] =
         static_cast<int>(parent_offsets_[node + 1] - parent_offsets_[node]);
   }
-  std::deque<NodeId> ready;
-  for (size_t node = 0; node < n; ++node) {
-    if (in_degree[node] == 0) ready.push_back(static_cast<NodeId>(node));
-  }
+  // Kahn's algorithm; `order` doubles as the FIFO ready queue.
   std::vector<NodeId> order;
   order.reserve(n);
-  while (!ready.empty()) {
-    NodeId node = ready.front();
-    ready.pop_front();
-    order.push_back(node);
-    for (NodeId c : Children(node)) {
-      if (--in_degree[c] == 0) ready.push_back(c);
+  for (size_t node = 0; node < n; ++node) {
+    if (in_degree[node] == 0) order.push_back(static_cast<NodeId>(node));
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    const NodeId node = order[head];
+    for (uint32_t k = child_offsets_[node]; k < child_offsets_[node + 1];
+         ++k) {
+      if (--in_degree[child_data_[k]] == 0) order.push_back(child_data_[k]);
     }
   }
   if (order.size() != n) {

@@ -12,12 +12,12 @@
 //     Interning probes the arena through per-attribute SpanIndexes with
 //     keys assembled in caller scratch — zero owned key tuples anywhere.
 //   * Adjacency is CSR: one contiguous parent array + one child array with
-//     per-node offset ranges, built in a single counting pass over the
-//     committed edge sequence. Edges committed after a build land in a
+//     per-node offset ranges. Edges committed after a build land in a
 //     dynamic overlay (the uncompacted tail of the edge log) and are
-//     folded in by recompacting on the first adjacency read — reads always
-//     see per-node lists byte-identical to the historical per-node
-//     push_back vectors.
+//     folded in place into the CSR on the first adjacency read, in time
+//     proportional to the tail plus the nodes — reads always see per-node
+//     lists in edge commit order, byte-identical to per-node push_back
+//     vectors.
 //
 // Thread contract: writes (AddNode*, AddEdge*) are single-threaded and
 // must not overlap reads; FindNode / node / Parents / Children are safe
@@ -44,41 +44,6 @@ namespace carl {
 
 using NodeId = int32_t;
 inline constexpr NodeId kInvalidNode = -1;
-
-namespace causal_graph_internal {
-
-/// Edge identity for the sorted-run dedupe, compared field-wise over
-/// 64-bit ids. The historical dedupe packed (from << 32) | (uint32)to
-/// into one uint64_t, which silently collides for any NodeId wider than
-/// 32 bits; this representation is collision-free for every id width.
-struct EdgeKey {
-  int64_t from = 0;
-  int64_t to = 0;
-
-  friend bool operator==(const EdgeKey& a, const EdgeKey& b) {
-    return a.from == b.from && a.to == b.to;
-  }
-  friend bool operator<(const EdgeKey& a, const EdgeKey& b) {
-    return a.from != b.from ? a.from < b.from : a.to < b.to;
-  }
-};
-
-/// A batched edge plus its AddEdges call position.
-struct PendingEdge {
-  EdgeKey key;
-  uint32_t seq = 0;
-};
-
-/// The sorted-run merge behind CausalGraph::AddEdges: drops pending
-/// duplicates (keeping the lowest seq of each key) and keys already in
-/// the sorted `committed` run, merges the survivors' keys into
-/// `committed` (which stays sorted), and returns the survivors ordered
-/// by seq — the exact first-occurrence sequence a serial AddEdge loop
-/// would have committed. Exposed for width-regression testing.
-std::vector<PendingEdge> MergeEdgeRun(std::vector<PendingEdge> pending,
-                                      std::vector<EdgeKey>* committed);
-
-}  // namespace causal_graph_internal
 
 /// A grounded attribute A[x]. `args` is a span into the graph's argument
 /// arena — valid until the next node insertion into the graph.
@@ -125,9 +90,9 @@ class NodeIdSpan {
 class CausalGraph {
  public:
   CausalGraph() = default;
-  /// Moves/copies transfer the node and edge stores; the adjacency
-  /// synchronization state is rebuilt (the CSR recompacts lazily on the
-  /// next read). Must not race in-flight readers of the source.
+  /// Moves and copies transfer the node and edge stores and the CSR
+  /// adjacency. A move must not race in-flight readers of the source; a
+  /// copy may.
   CausalGraph(CausalGraph&& o) noexcept;
   CausalGraph& operator=(CausalGraph&& o) noexcept;
   CausalGraph(const CausalGraph& o);
@@ -189,38 +154,25 @@ class CausalGraph {
   NodeId FindNode(AttributeId attribute, TupleView args,
                   uint64_t hash) const;
 
-  /// Adds a cause -> effect edge; duplicate edges are ignored.
-  /// Incremental convenience (tests, hand-built graphs) — bulk producers
-  /// should batch through AddEdges. After the CSR adjacency has been
-  /// built, the edge lands in the dynamic overlay and is folded in on the
-  /// next adjacency read.
-  void AddEdge(NodeId from, NodeId to);
-
   /// One cause -> effect edge of an AddEdges batch.
   struct Edge {
     NodeId from = kInvalidNode;
     NodeId to = kInvalidNode;
   };
 
-  /// Commits a batch of edges with first-occurrence semantics: duplicates
-  /// (within the batch or against already-present edges) are ignored, and
-  /// surviving edges are appended in batch order — exactly the adjacency
-  /// order a serial AddEdge loop over the same sequence produces. Dedupe
-  /// is a sorted-run build (no hash set, collision-free for any NodeId
-  /// width).
+  /// Adds a cause -> effect edge; a duplicate edge is ignored. A one-edge
+  /// AddEdges — bulk producers should batch.
+  void AddEdge(NodeId from, NodeId to) { AddEdges({Edge{from, to}}); }
+
+  /// The graph's edge commit. Duplicates (within the batch or against
+  /// already-present edges) are ignored, and surviving edges are appended
+  /// in batch order — exactly the adjacency order a serial AddEdge loop
+  /// over the same sequence produces. The batch is bucketed by `to` in
+  /// one counting pass; each target keeps the first occurrence of each
+  /// `from` not already among its parents. After the CSR adjacency has
+  /// been built, the edges land in the dynamic overlay and are folded in
+  /// on the next adjacency read.
   void AddEdges(const std::vector<Edge>& batch);
-
-  /// Commits several batches at once, bit-identical to calling AddEdges
-  /// on each batch in order: pending edges carry a global
-  /// (batch-then-index) sequence, so first-occurrence survival and append
-  /// order match the sequential loop exactly. One sorted-run merge over
-  /// the concatenation replaces per-batch merges — the parallel splice
-  /// commits every rule's edges through this in a single pass.
-  void AddEdgeBatches(const std::vector<std::vector<Edge>>& batches,
-                      ExecContext& ctx);
-
-  /// Pre-sizes edge storage for an expected number of additional edges.
-  void ReserveEdges(size_t expected);
 
   size_t num_nodes() const { return node_attrs_.size(); }
   size_t num_edges() const { return edge_order_.size(); }
@@ -280,11 +232,10 @@ class CausalGraph {
                      static_cast<size_t>(arg_offsets_[id + 1] -
                                          arg_offsets_[id]));
   }
-  /// Compacts the committed edge log into the CSR arrays when stale.
-  /// Safe from concurrent readers; never runs concurrent with writes
-  /// (the graph's thread contract).
+  /// Folds edges and nodes added since the last compaction into the CSR
+  /// arrays. Safe from concurrent readers; never runs concurrent with
+  /// writes (the graph's thread contract).
   void EnsureAdjacency() const;
-  void RebuildAdjacency() const;
 
   // Node store: one argument arena; node i's args are the span
   // [arg_offsets_[i], arg_offsets_[i+1]) of arg_arena_.
@@ -298,19 +249,16 @@ class CausalGraph {
   std::unordered_map<AttributeId, SpanIndex> index_;
   std::unordered_map<AttributeId, std::vector<NodeId>> by_attribute_;
 
-  // Committed edges in first-occurrence order (the CSR fill source) plus
-  // one sorted dedupe run, kept merged across batches; the dedupe probe
-  // is a binary search, never a packed-key hash. Edges committed after
-  // the last compaction are the dynamic overlay: they live only in this
-  // log (flagged by adjacency_fresh_) until a read recompacts the CSR
-  // over the whole sequence.
+  // Committed edges in first-occurrence order (the CSR fill source).
+  // Edges committed after the last compaction are the dynamic overlay:
+  // they live only in this log (flagged by adjacency_fresh_) until a read
+  // folds them into the CSR.
   std::vector<Edge> edge_order_;
-  std::vector<causal_graph_internal::EdgeKey> edge_run_;
 
-  // CSR adjacency, rebuilt lazily on first read after a mutation. The
-  // flag is the only cross-thread handshake: readers acquire-load it,
-  // the (reader-side, mutex-serialized) compaction release-stores it,
-  // writers relax-store false.
+  // CSR adjacency, brought up to date lazily on first read after a
+  // mutation. The flag is the only cross-thread handshake: readers
+  // acquire-load it, the (reader-side, mutex-serialized) compaction
+  // release-stores it, writers relax-store false.
   mutable std::vector<uint32_t> parent_offsets_;
   mutable std::vector<NodeId> parent_data_;
   mutable std::vector<uint32_t> child_offsets_;

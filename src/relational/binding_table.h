@@ -9,8 +9,9 @@
 //
 // This is the currency of the grounding hot path: EvaluateShard fills one
 // table per shard, EnumerateBindings streams the shards into one merged
-// table (first occurrence wins, in shard order), and MergeRuleGroundings
-// resolves rule references straight off the rows. ToTuples() exists for
+// table (first occurrence wins, in shard order), and the grounding merge
+// (MergeAllRuleGroundings) resolves rule references straight off the
+// rows. ToTuples() exists for
 // cold consumers and tests; it counts every row it materializes against
 // storage_stats::EvalResultAllocCount, so a per-binding Tuple path that
 // creeps back into grounding shows up as a nonzero warm-pass counter.

@@ -471,20 +471,14 @@ Result<std::vector<int>> ResolveProjection(
 }
 
 // Runs the search, deduplicating projected bindings straight into the
-// columnar result table — no per-binding materialization anywhere.
-// Bindings are charged against the guard's binding budget in strides, so
-// the leaf pays one add per kBindingChargeStride rows instead of an
-// atomic RMW per binding.
+// columnar `table` — no per-binding materialization anywhere. Bindings
+// are charged against the guard's binding budget in strides, so the leaf
+// pays one add per kBindingChargeStride rows instead of an atomic RMW per
+// binding.
 constexpr size_t kBindingChargeStride = 256;
 
-BindingTable RunProjected(const Instance& instance,
-                          const CompiledQuery& compiled,
-                          const std::vector<int>& projection,
-                          size_t root_begin, size_t root_end,
-                          bool restricted) {
-  Searcher searcher(instance, compiled);
-  if (restricted) searcher.RestrictRoot(root_begin, root_end);
-  BindingTable table(projection.size());
+void RunProjected(Searcher& searcher, const std::vector<int>& projection,
+                  BindingTable* table) {
   std::vector<SymbolId> projected(projection.size());
   guard::ExecToken* token = guard::CurrentToken();
   size_t uncharged = 0;
@@ -492,7 +486,7 @@ BindingTable RunProjected(const Instance& instance,
     for (size_t i = 0; i < projection.size(); ++i) {
       projected[i] = assignment[projection[i]];
     }
-    table.InsertDistinct(projected.data());
+    table->InsertDistinct(projected.data());
     if (token != nullptr && ++uncharged >= kBindingChargeStride) {
       uncharged = 0;
       if (token->ChargeBindings(kBindingChargeStride)) return false;
@@ -500,7 +494,6 @@ BindingTable RunProjected(const Instance& instance,
     return true;
   });
   if (token != nullptr && uncharged > 0) token->ChargeBindings(uncharged);
-  return table;
 }
 
 }  // namespace
@@ -539,8 +532,9 @@ Result<BindingTable> QueryEvaluator::Evaluate(
   const CompiledQuery& compiled = *prepared.impl_;
   CARL_ASSIGN_OR_RETURN(std::vector<int> projection,
                         ResolveProjection(compiled, output_vars));
-  BindingTable table = RunProjected(*instance_, compiled, projection, 0, 0,
-                                    /*restricted=*/false);
+  Searcher searcher(*instance_, compiled);
+  BindingTable table(projection.size());
+  RunProjected(searcher, projection, &table);
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
   return table;
 }
@@ -585,18 +579,21 @@ Result<BindingTable> QueryEvaluator::EvaluateShard(
   const CompiledQuery& compiled = *prepared.impl_;
   CARL_ASSIGN_OR_RETURN(std::vector<int> projection,
                         ResolveProjection(compiled, output_vars));
+  BindingTable table(projection.size());
   if (compiled.steps.empty()) {
     // Atom-less query: the whole result belongs to shard 0.
-    if (shard != 0) return BindingTable(projection.size());
-    return RunProjected(*instance_, compiled, projection, 0, 0,
-                        /*restricted=*/false);
+    if (shard != 0) return table;
+    Searcher searcher(*instance_, compiled);
+    RunProjected(searcher, projection, &table);
+    return table;
   }
   size_t candidates = RootCandidateCount(*instance_, compiled);
   size_t begin = candidates * shard / num_shards;
   size_t end = candidates * (shard + 1) / num_shards;
-  if (begin >= end) return BindingTable(projection.size());
-  BindingTable table = RunProjected(*instance_, compiled, projection, begin,
-                                    end, /*restricted=*/true);
+  if (begin >= end) return table;
+  Searcher searcher(*instance_, compiled);
+  searcher.RestrictRoot(begin, end);
+  RunProjected(searcher, projection, &table);
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
   return table;
 }
@@ -635,7 +632,6 @@ Result<BindingTable> QueryEvaluator::EvaluateDelta(
         projection, ResolveProjection(compiled.pivots[0], output_vars));
   }
   BindingTable table(projection.size());
-  std::vector<SymbolId> projected(projection.size());
   for (const CompiledQuery& pivot : compiled.pivots) {
     if (pivot.always_empty || pivot.steps.empty()) continue;
     // A pivot whose predicate gained no rows contributes nothing; skip
@@ -644,14 +640,9 @@ Result<BindingTable> QueryEvaluator::EvaluateDelta(
     if (fact_watermarks[root] >= instance_->NumRows(root)) continue;
     Searcher searcher(*instance_, pivot);
     searcher.SetWatermarks(fact_watermarks.data());
-    searcher.Run([&](const std::vector<SymbolId>& assignment) {
-      for (size_t i = 0; i < projection.size(); ++i) {
-        projected[i] = assignment[projection[i]];
-      }
-      table.InsertDistinct(projected.data());
-      return true;
-    });
+    RunProjected(searcher, projection, &table);
   }
+  CARL_RETURN_IF_ERROR(guard::CheckPoint());
   return table;
 }
 

@@ -253,13 +253,15 @@ TEST_F(FaultFuzzTest, DeltaTrimFaultFallsBackToFullReground) {
 // ---------------------------------------------------------------------------
 // Budget stops through the real pipeline: deadline / memory / binding
 // ceilings abort a full re-ground with the right Status, commit nothing
-// to the binding cache, and the next query runs normally.
+// to the binding cache, and the next query runs normally. The binding
+// ceiling also stops an incremental extend's delta enumeration.
 // ---------------------------------------------------------------------------
 TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
   struct Case {
     const char* name;
     guard::QueryBudget budget;
     StatusCode want_code;
+    bool extend = false;  // stop an extend instead of a full re-ground
   };
   const Case cases[] = {
       // An already-expired deadline stops at the first phase boundary.
@@ -272,6 +274,9 @@ TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
       // A one-binding ceiling trips in the evaluator's probe loops.
       {"bindings", {0.0, 0, /*max_bindings=*/1},
        StatusCode::kResourceExhausted},
+      // Two new Author rows give each Author rule a two-binding delta.
+      {"extend_bindings", {0.0, 0, /*max_bindings=*/1},
+       StatusCode::kResourceExhausted, /*extend=*/true},
   };
 
   for (int threads : {1, 4}) {
@@ -287,15 +292,22 @@ TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
       QuerySession session(&db);
       ASSERT_TRUE(session.Ground(*model).ok());
 
-      // Force the full re-ground path with an empty binding cache: the
-      // faulted trim makes the delta incomplete, which clears the cache
-      // and voids the extend contract — so the guarded query must
-      // re-enumerate every rule (real work for the budget to stop).
-      guard::FaultRegistry::Global().Arm("instance.delta_trim", 1);
-      ASSERT_TRUE(db.AddFact("Person", {std::string("fz_budget_") + c.name +
-                                        "_t" + std::to_string(threads)})
-                      .ok());
-      guard::FaultRegistry::Global().Reset();
+      if (c.extend) {
+        ASSERT_TRUE(db.AddFact("Author", {"Bob", "s2"}).ok());
+        ASSERT_TRUE(db.AddFact("Author", {"Carlos", "s1"}).ok());
+      } else {
+        // Force the full re-ground path with an empty binding cache: the
+        // faulted trim makes the delta incomplete, which clears the
+        // cache and voids the extend contract — so the guarded query
+        // must re-enumerate every rule (real work for the budget to
+        // stop).
+        const std::string person =
+            std::string("fz_budget_") + c.name + "_t" + std::to_string(threads);
+        guard::FaultRegistry::Global().Arm("instance.delta_trim", 1);
+        ASSERT_TRUE(db.AddFact("Person", {person}).ok());
+        guard::FaultRegistry::Global().Reset();
+      }
+      const QuerySession::SessionStats stats_before = session.SnapshotStats();
 
       guard::ExecToken token(c.budget);
       Result<std::shared_ptr<const GroundedModel>> stopped = [&] {
@@ -306,17 +318,25 @@ TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
           << c.name << " budget did not stop the pass";
       EXPECT_EQ(stopped.status().code(), c.want_code) << stopped.status();
 
-      // Nothing the aborted pass enumerated may have been committed:
-      // the cache was cleared by the incomplete delta, and the staged
-      // inserts of the aborted re-ground were dropped whole.
-      EXPECT_EQ(session.binding_cache().size(), 0u)
-          << "aborted " << c.name << " pass leaked staged cache entries";
+      // Nothing the aborted pass built may have been committed: no
+      // grounding was installed, and no fallback re-ground ran.
+      EXPECT_EQ(session.SnapshotStats().ground_extends,
+                stats_before.ground_extends);
+      EXPECT_EQ(session.SnapshotStats().ground_full, stats_before.ground_full);
+      if (!c.extend) {
+        // The cache was cleared by the incomplete delta, and the staged
+        // inserts of the aborted re-ground were dropped whole.
+        EXPECT_EQ(session.binding_cache().size(), 0u)
+            << "aborted " << c.name << " pass leaked staged cache entries";
+      }
 
       // Session still usable: the unguarded retry succeeds and matches
       // a from-scratch ground.
       Result<std::shared_ptr<const GroundedModel>> retry =
           session.Ground(*model);
       ASSERT_TRUE(retry.ok()) << retry.status();
+      EXPECT_EQ(session.SnapshotStats().ground_extends,
+                stats_before.ground_extends + (c.extend ? 1 : 0));
       Result<GroundedModel> fresh = GroundModel(db, *model);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
       EXPECT_TRUE(Canonicalize(**retry) == Canonicalize(*fresh));

@@ -51,7 +51,7 @@ struct NamedDataset {
 datagen::Dataset ReviewToyDataset();
 
 /// MIMIC-III(sim) mini instance. The 3000/120 default is large enough to
-/// engage binding shards and the cross-rule parallel merge.
+/// engage binding shards and spread the merge over several chunks.
 datagen::Dataset MiniMimicDataset(size_t num_patients = 3000,
                                   size_t num_caregivers = 120);
 
@@ -68,9 +68,8 @@ datagen::Dataset SynthReviewDataset(size_t num_authors = 800,
 /// REVIEW toy + MIMIC + NIS: the binding-stream equivalence workloads.
 std::vector<NamedDataset> StreamWorkloads();
 
-/// MIMIC + SYNTH-REVIEW, sized so the total binding count crosses the
-/// cross-rule parallel-merge threshold (the serial fallback would make
-/// threads=N test legs vacuous).
+/// MIMIC + SYNTH-REVIEW, sized so every rule's bindings span several
+/// merge chunks and threads=N legs genuinely run the merge in parallel.
 std::vector<NamedDataset> GraphWorkloads();
 
 /// Two entities (Person, Item), one relationship (Owns), two numeric

@@ -37,9 +37,9 @@ TEST(CausalGraphTest, EdgesDeduplicated) {
 }
 
 TEST(CausalGraphTest, AddEdgesBatchMatchesSerialFirstOccurrence) {
-  // The batched sorted-run build must reproduce a serial AddEdge loop
-  // exactly: duplicates dropped (within the batch and against edges
-  // already committed), survivors appended in call order.
+  // A batched commit must reproduce a serial AddEdge loop exactly:
+  // duplicates dropped (within the batch and against edges already
+  // committed), survivors appended in call order.
   CausalGraph serial, batched;
   for (int i = 0; i < 6; ++i) {
     N(&serial, i);
@@ -62,38 +62,6 @@ TEST(CausalGraphTest, AddEdgesBatchMatchesSerialFirstOccurrence) {
   serial.AddEdge(0, 2);
   EXPECT_EQ(batched.num_edges(), serial.num_edges());
   EXPECT_EQ(batched.Children(0), serial.Children(0));
-}
-
-TEST(CausalGraphTest, EdgeDedupeIsCollisionFreeBeyond32Bits) {
-  // Regression test for the historical packed edge key,
-  // (uint64)(uint32)from << 32 | (uint32)to: any two ids that agree in
-  // their low 32 bits collided, so for a NodeId wider than 32 bits the
-  // second edge silently vanished. The sorted-run dedupe compares ids
-  // field-wise; run it directly on >32-bit values.
-  using causal_graph_internal::EdgeKey;
-  using causal_graph_internal::MergeEdgeRun;
-  using causal_graph_internal::PendingEdge;
-  constexpr int64_t kHigh = int64_t{1} << 32;
-  std::vector<PendingEdge> pending{
-      {EdgeKey{5, 7}, 0},
-      {EdgeKey{kHigh + 5, 7}, 1},   // collides with seq 0 under (uint32)from
-      {EdgeKey{5, kHigh + 7}, 2},   // collides with seq 0 under (uint32)to
-      {EdgeKey{5, 7}, 3},           // genuine duplicate of seq 0
-      {EdgeKey{kHigh + 5, 7}, 4},   // genuine duplicate of seq 1
-  };
-  std::vector<EdgeKey> committed;
-  std::vector<PendingEdge> survivors =
-      MergeEdgeRun(std::move(pending), &committed);
-  ASSERT_EQ(survivors.size(), 3u);  // the three distinct (from, to) pairs
-  EXPECT_EQ(survivors[0].seq, 0u);
-  EXPECT_EQ(survivors[1].seq, 1u);
-  EXPECT_EQ(survivors[2].seq, 2u);
-  EXPECT_EQ(committed.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(committed.begin(), committed.end()));
-  // Replaying one of them against the committed run drops it.
-  EXPECT_TRUE(
-      MergeEdgeRun({{EdgeKey{kHigh + 5, 7}, 0}}, &committed).empty());
-  EXPECT_EQ(committed.size(), 3u);
 }
 
 TEST(CausalGraphTest, NodeArgsLiveInArena) {
@@ -187,9 +155,13 @@ TEST(CausalGraphTest, AdjacencyCoversNodesAddedAfterCompaction) {
   NodeId c = N(&g, 2);
   EXPECT_TRUE(g.Parents(c).empty());
   EXPECT_TRUE(g.Children(c).empty());
-  g.AddEdge(b, c);
+  // The commit dedupes against parents read through the extended
+  // offsets: only b -> c is new.
+  g.AddEdges({{a, b}, {b, c}, {b, c}});
+  EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.Parents(c).size(), 1u);
   EXPECT_EQ(g.Parents(c)[0], b);
+  EXPECT_EQ(g.Children(a).size(), 1u);
 }
 
 TEST(CausalGraphTest, NodesOfAttribute) {
