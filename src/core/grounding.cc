@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -52,7 +51,7 @@ void BindingCache::Insert(BindingKeyId key,
                           std::shared_ptr<const BindingTable> table,
                           BindingDeps deps) {
   if (staging_) {
-    // Guarded pass: buffer the insert; committed entries stay untouched
+    // Staged pass: buffer the insert; committed entries stay untouched
     // until CommitStaging so an abort restores the pre-pass cache exactly.
     for (const auto& [staged_key, entry] : staged_) {
       if (staged_key == key) return;  // first producer wins
@@ -65,8 +64,8 @@ void BindingCache::Insert(BindingKeyId key,
   if (entries_.count(key) > 0) return;  // first producer wins
   size_t incoming = table->arena_bytes();
   while (!insertion_order_.empty() &&
-         (entries_.size() >= max_entries_ ||
-          total_bytes_ + incoming > max_bytes_)) {
+         (entries_.size() >= kMaxEntries ||
+          total_bytes_ + incoming > kMaxBytes)) {
     auto it = entries_.find(insertion_order_.front());
     if (it != entries_.end()) {
       total_bytes_ -= it->second.table->arena_bytes();
@@ -647,12 +646,6 @@ void MergeAllRuleGroundings(const std::vector<CompiledRule>& rules,
   if (splice_s != nullptr) *splice_s += splice_timer.Seconds();
 }
 
-// Enumerates a rule condition over its distinguished variables: the full
-// binding table for a ground, the delta-restricted one for an extend.
-using BindingSource =
-    std::function<Result<std::shared_ptr<const BindingTable>>(
-        const ConjunctiveQuery& where, const std::vector<std::string>& vars)>;
-
 // Compiles every rule of `model` into a merge job whose bindings come
 // from `enumerate`. Causal rules first, then aggregate rules (all-or-
 // nothing per binding: head and source must both resolve) — the vector
@@ -731,91 +724,222 @@ std::optional<double> GroundedModel::NodeValue(NodeId id) const {
   return value_cache_[id];
 }
 
-void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
-  size_t n = graph_.num_nodes();
-  value_state_.assign(n, 1);
-  value_cache_.assign(n, 0.0);
+void GroundedModel::UpdateValues(
+    const std::vector<uint32_t>& watermarks,
+    const std::vector<InstanceDelta::AttributeDelta>& written,
+    size_t nodes_before, size_t edges_before,
+    const std::vector<NodeId>& topo_order) {
+  const size_t n = graph_.num_nodes();
+  value_state_.resize(n, 1);
+  value_cache_.resize(n, 0.0);
 
-  // Base attributes: one typed-column copy per attribute. Step 1
-  // bulk-builds nodes in (attribute, row) order, so an attribute's first
-  // NumRows(predicate) nodes are row-aligned with the instance's numeric
-  // column — the hot path is a present-masked copy, no per-node hash
-  // probe. Slow fallbacks remain only for values living in the overflow
-  // map (set before their fact existed, or attached to rule-added
-  // non-fact groundings past the bulk prefix).
-  const Schema& s = schema();
-  std::vector<AttributeId> attrs;
-  attrs.reserve(s.attributes().size());
-  for (const AttributeDef& attr : s.attributes()) attrs.push_back(attr.id);
-
+  // Base attributes: the fact rows at or past the watermark, plus the
+  // rows written in the window, read off the instance's typed column.
+  // An attribute's first NumRows(predicate) nodes are row-aligned with
+  // that column (step 1 builds and extends them in row order), so the hot
+  // path is a present-masked copy, no per-node hash probe. The one
+  // FindAttributeValue fallback serves values living in the overflow map
+  // (set before their fact existed) and the non-fact groundings this pass
+  // added. Extended-schema attributes (derived aggregates) are unknown to
+  // the instance: every one of their nodes is aggregate-tagged and valued
+  // by the topological pass below, never by a column read.
   auto slow_path = [this](NodeId id) {
     const GroundedAttribute g = graph_.node(id);
     const Value* v = instance_->FindAttributeValue(
         g.attribute, g.args.data(), g.args.size());
-    if (v != nullptr && v->is_numeric()) {
-      value_cache_[id] = v->AsDouble();
-      value_state_[id] = 2;
-    }
+    const bool numeric = v != nullptr && v->is_numeric();
+    if (numeric) value_cache_[id] = v->AsDouble();
+    value_state_[id] = numeric ? 2 : 1;
   };
-
+  const std::vector<AttributeDef>& attrs = instance_->schema().attributes();
+  std::vector<const std::vector<uint32_t>*> written_rows(attrs.size(),
+                                                         nullptr);
+  for (const InstanceDelta::AttributeDelta& ad : written) {
+    written_rows[ad.attribute] = &ad.rows;
+  }
   ParallelFor(ExecContext::Global(), attrs.size(),
               [&](size_t begin, size_t end, size_t) {
     for (size_t a = begin; a < end; ++a) {
-      AttributeId aid = attrs[a];
-      // Extended-schema attributes (derived aggregates) are unknown to
-      // the instance: every one of their nodes is aggregate-tagged and
-      // valued by the topological pass below, never by a column read.
-      if (static_cast<size_t>(aid) >=
-          instance_->schema().num_attributes()) {
-        continue;
-      }
-      const std::vector<NodeId>& nodes = graph_.NodesOfAttribute(aid);
-      if (nodes.empty()) continue;
-      size_t bulk = std::min(
-          nodes.size(), instance_->NumRows(s.attribute(aid).predicate));
-      Instance::NumericColumn col = instance_->NumericColumnOf(aid);
-      size_t covered = std::min(bulk, col.num_rows);
-      for (size_t r = 0; r < covered; ++r) {
+      const AttributeDef& attr = attrs[a];
+      const std::vector<NodeId>& nodes = graph_.NodesOfAttribute(attr.id);
+      const size_t facts =
+          std::min(nodes.size(), instance_->NumRows(attr.predicate));
+      const Instance::NumericColumn col = instance_->NumericColumnOf(attr.id);
+      auto read_row = [&](size_t r) {
         NodeId id = nodes[r];
-        if (node_has_aggregate_[id]) continue;
-        if (col.present[r]) {
+        if (node_has_aggregate_[id]) return;
+        if (r < col.num_rows && col.present[r]) {
           value_cache_[id] = col.values[r];
           value_state_[id] = 2;
         } else if (col.may_overflow) {
           slow_path(id);
+        } else {
+          value_state_[id] = 1;
+        }
+      };
+      const size_t watermark = watermarks[attr.predicate];
+      for (size_t r = watermark; r < facts; ++r) read_row(r);
+      if (written_rows[a] != nullptr) {
+        for (uint32_t r : *written_rows[a]) {
+          if (r < watermark && r < facts) read_row(r);
         }
       }
-      // Rows past the column's written extent, then rule-added non-fact
-      // groundings: values (if any) can only live in the overflow map.
-      if (col.may_overflow || bulk < nodes.size()) {
-        for (size_t r = covered; r < nodes.size(); ++r) {
-          NodeId id = nodes[r];
-          if (!node_has_aggregate_[id]) slow_path(id);
-        }
+      // Non-fact groundings keep creation order past the row-aligned
+      // prefix, so the ones this pass added are that tail's suffix.
+      for (size_t r = nodes.size(); r > facts && nodes[r - 1] >=
+                                        static_cast<NodeId>(nodes_before);
+           --r) {
+        if (!node_has_aggregate_[nodes[r - 1]]) slow_path(nodes[r - 1]);
       }
     }
   });
 
-  // Aggregates: parents precede children in topological order, so parent
-  // values (including aggregate-of-aggregate chains) are already final.
-  // Parent values are sorted before aggregation — parent list order is an
+  // Aggregates to recompute: every aggregate node this pass added, and
+  // the older ones a change reaches — targets of new edges and children
+  // of written rows, closed under aggregate children. A fresh ground adds
+  // every aggregate, so nothing older exists to reach.
+  std::vector<char> dirty(n, 0);
+  for (size_t id = nodes_before; id < n; ++id) {
+    dirty[id] = node_has_aggregate_[id];
+  }
+  if (nodes_before > 0) {
+    std::vector<NodeId> reached;
+    auto touch = [&](NodeId id) {
+      if (node_has_aggregate_[id] && !dirty[id]) {
+        dirty[id] = 1;
+        reached.push_back(id);
+      }
+    };
+    const std::vector<CausalGraph::Edge>& edge_log = graph_.edge_log();
+    for (size_t e = edges_before; e < edge_log.size(); ++e) {
+      touch(edge_log[e].to);
+    }
+    for (const InstanceDelta::AttributeDelta& ad : written) {
+      const std::vector<NodeId>& nodes = graph_.NodesOfAttribute(ad.attribute);
+      for (uint32_t row : ad.rows) {
+        if (row >= nodes.size()) continue;
+        for (NodeId c : graph_.Children(nodes[row])) touch(c);
+      }
+    }
+    while (!reached.empty()) {
+      NodeId id = reached.back();
+      reached.pop_back();
+      for (NodeId c : graph_.Children(id)) touch(c);
+    }
+  }
+
+  // Parents precede children in topological order, so parent values
+  // (including aggregate-of-aggregate chains) are already final. Parent
+  // values are sorted before aggregation — parent list order is an
   // edge-commit-order artifact that differs between a from-scratch ground
   // and an incremental extend, and floating-point accumulation is not
   // commutative; the sorted form makes aggregate values a function of the
   // parent value SET, bit-identical across both paths.
   std::vector<double> parent_values;
   for (NodeId id : topo_order) {
-    if (!node_has_aggregate_[id]) continue;
+    if (!dirty[id]) continue;
     parent_values.clear();
     for (NodeId p : graph_.Parents(id)) {
       if (value_state_[p] == 2) parent_values.push_back(value_cache_[p]);
     }
-    if (!parent_values.empty()) {
-      std::sort(parent_values.begin(), parent_values.end());
-      value_cache_[id] = ApplyAggregate(node_aggregate_[id], parent_values);
-      value_state_[id] = 2;
+    if (parent_values.empty()) {
+      value_state_[id] = 1;
+      continue;
+    }
+    std::sort(parent_values.begin(), parent_values.end());
+    value_cache_[id] = ApplyAggregate(node_aggregate_[id], parent_values);
+    value_state_[id] = 2;
+  }
+}
+
+Status GroundedModel::RunPass(
+    const std::vector<uint32_t>& watermarks,
+    const std::vector<InstanceDelta::AttributeDelta>& written,
+    const BindingSource& enumerate) {
+  ExecContext& ctx = ExecContext::Global();
+  const Instance& instance = *instance_;
+  const Schema& schema = model_->extended_schema();
+  // The stats describe this pass only — never a blend with a reused
+  // struct's or the base grounding's timings.
+  phase_stats_ = GroundingPhaseStats{};
+  const size_t nodes_before = graph_.num_nodes();
+  const size_t edges_before = graph_.num_edges();
+  obs::MonotonicTimer phase_timer;
+
+  // 1. A node for every fact row at or past its predicate's watermark, in
+  // every attribute. An empty graph is bulk-built with ids in (attribute,
+  // row) order — the same ids a serial AddNode loop assigns; an extend
+  // splices the new rows into the row-aligned per-attribute id columns
+  // (rule-added non-fact nodes are promoted when a new row re-derives
+  // them). Aggregate-defined attributes get nodes here too, so response
+  // lookups are uniform even for groundings with no sources.
+  {
+    CARL_TRACE_SCOPE("grounding.node_build");
+    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.node_build"));
+    std::vector<CausalGraph::NodeBatch> batches;
+    std::vector<size_t> prior_rows;
+    for (const AttributeDef& attr : schema.attributes()) {
+      const size_t prior = watermarks[attr.predicate];
+      if (nodes_before == 0 || prior < instance.NumRows(attr.predicate)) {
+        batches.push_back(
+            CausalGraph::NodeBatch{attr.id, instance.Rows(attr.predicate)});
+        prior_rows.push_back(prior);
+      }
+    }
+    if (nodes_before == 0) {
+      graph_.AddNodesBulk(batches, ctx);
+    } else {
+      graph_.ExtendNodesBulk(batches, prior_rows);
     }
   }
+  phase_stats_.node_build_s = phase_timer.Seconds();
+
+  // 2. Compile every rule and enumerate its condition through `enumerate`.
+  // Causal rules first, then aggregate rules (all-or-nothing per binding:
+  // head and source must both resolve) — the vector order is the merge
+  // order.
+  phase_timer.Reset();
+  std::vector<CompiledRule> compiled;
+  {
+    CARL_TRACE_SCOPE("grounding.enumerate");
+    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
+    CARL_ASSIGN_OR_RETURN(compiled, CompileRules(instance, *model_, enumerate));
+  }
+  phase_stats_.enumerate_s = phase_timer.Seconds();
+
+  // 3. Merge every rule's nodes and edges: cross-rule parallel read-only
+  // probe, prefix-summed parallel splice with serial miss interning, one
+  // edge commit in rule order. AddNode and the edge commit dedupe, so an
+  // extend binding the base already committed (its projection also has an
+  // all-old witness) changes nothing in the graph — only num_groundings_
+  // counts it again, which is why the extend contract excludes that
+  // counter.
+  phase_timer.Reset();
+  {
+    CARL_TRACE_SCOPE("grounding.merge");
+    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
+    MergeAllRuleGroundings(compiled, ctx, &graph_, &num_groundings_,
+                           &phase_stats_.splice_s);
+    CARL_RETURN_IF_ERROR(guard::CheckPoint());
+  }
+  phase_stats_.merge_s = phase_timer.Seconds();
+
+  // 4. Tag the new nodes of aggregate-defined attributes with their kind.
+  TagAggregateNodes(nodes_before);
+
+  // 5. The paper requires non-recursive models; reject cyclic groundings
+  // (an extend could close a cycle). The topological order then drives
+  // the value pass.
+  phase_timer.Reset();
+  {
+    CARL_TRACE_SCOPE("grounding.finalize");
+    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.finalize"));
+    CARL_ASSIGN_OR_RETURN(std::vector<NodeId> topo_order,
+                          graph_.TopologicalOrder());
+    UpdateValues(watermarks, written, nodes_before, edges_before, topo_order);
+  }
+  phase_stats_.finalize_s = phase_timer.Seconds();
+  return Status::OK();
 }
 
 std::string GroundedModel::NodeName(NodeId id) const {
@@ -834,83 +958,22 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   pass_counter.Increment();
   obs::MonotonicTimer pass_timer;
 
-  ExecContext& ctx = ExecContext::Global();
   GroundedModel grounded;
   grounded.instance_ = &instance;
   grounded.model_ = &model;
-  // Same reset discipline as ExtendGroundedModel: the stats always start
-  // from zero, whether the struct is freshly constructed or reused.
-  grounded.phase_stats_ = GroundingPhaseStats{};
-
-  const Schema& schema = model.extended_schema();
+  // Every fact row is new: bindings come in parallel shards of one shared
+  // compiled plan as a columnar table, reused from the binding cache when
+  // the same condition was enumerated before.
   QueryEvaluator evaluator(&instance);
-  obs::MonotonicTimer phase_timer;
-
-  // 1. A node for every grounding of every attribute, bulk-built with ids
-  // in (attribute, row) order — the same ids a serial AddNode loop
-  // assigns. Aggregate-defined attributes get nodes here too, so response
-  // lookups are uniform even for groundings with no sources.
-  {
-    CARL_TRACE_SCOPE("grounding.node_build");
-    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.node_build"));
-    std::vector<CausalGraph::NodeBatch> batches;
-    batches.reserve(schema.attributes().size());
-    for (const AttributeDef& attr : schema.attributes()) {
-      batches.push_back(
-          CausalGraph::NodeBatch{attr.id, instance.Rows(attr.predicate)});
-    }
-    grounded.graph_.AddNodesBulk(batches, ctx);
-  }
-  grounded.phase_stats_.node_build_s = phase_timer.Seconds();
-
-  // 2. Compile and enumerate every rule's condition: bindings come in
-  // parallel shards of one shared compiled plan as a columnar table
-  // (reused from the binding cache when the same condition was enumerated
-  // before). Causal rules first, then aggregate rules (all-or-nothing per
-  // binding: head and source must both resolve) — the vector order is the
-  // merge order.
-  phase_timer.Reset();
-  std::vector<CompiledRule> compiled;
-  {
-    CARL_TRACE_SCOPE("grounding.enumerate");
-    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    auto enumerate = [&](const ConjunctiveQuery& where,
-                         const std::vector<std::string>& vars) {
-      return EnumerateBindingsCached(evaluator, schema, where, vars, ctx,
-                                     binding_cache);
-    };
-    CARL_ASSIGN_OR_RETURN(compiled, CompileRules(instance, model, enumerate));
-  }
-  grounded.phase_stats_.enumerate_s = phase_timer.Seconds();
-
-  // 3. Merge every rule's nodes and edges: cross-rule parallel read-only
-  // probe, prefix-summed parallel splice with serial miss interning, one
-  // edge commit in rule order.
-  phase_timer.Reset();
-  {
-    CARL_TRACE_SCOPE("grounding.merge");
-    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
-    MergeAllRuleGroundings(compiled, ctx, &grounded.graph_,
-                           &grounded.num_groundings_,
-                           &grounded.phase_stats_.splice_s);
-    CARL_RETURN_IF_ERROR(guard::CheckPoint());
-  }
-  grounded.phase_stats_.merge_s = phase_timer.Seconds();
-
-  // 4. Tag aggregate nodes with their kind.
-  grounded.TagAggregateNodes(0);
-
-  // 5. The paper requires non-recursive models; reject cyclic groundings.
-  // The topological order then drives the eager value pass.
-  phase_timer.Reset();
-  {
-    CARL_TRACE_SCOPE("grounding.finalize");
-    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.finalize"));
-    CARL_ASSIGN_OR_RETURN(std::vector<NodeId> topo_order,
-                          grounded.graph_.TopologicalOrder());
-    grounded.FinalizeValues(topo_order);
-  }
-  grounded.phase_stats_.finalize_s = phase_timer.Seconds();
+  auto enumerate = [&](const ConjunctiveQuery& where,
+                       const std::vector<std::string>& vars) {
+    return EnumerateBindingsCached(evaluator, model.extended_schema(), where,
+                                   vars, ExecContext::Global(),
+                                   binding_cache);
+  };
+  CARL_RETURN_IF_ERROR(grounded.RunPass(
+      std::vector<uint32_t>(instance.schema().num_predicates(), 0), {},
+      enumerate));
   pass_hist.Record(pass_timer.Seconds());
   return grounded;
 }
@@ -1025,25 +1088,16 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
         "extend needs a grounded model (default-constructed base)");
   }
   const Instance& instance = *base.instance_;
-  const RelationalCausalModel& model = *base.model_;
   if (delta.to_generation != instance.generation()) {
     return Status::FailedPrecondition(
         "delta does not end at the instance's current generation");
   }
-  if (!DeltaSupportsIncrementalExtend(instance, model, delta)) {
+  if (!DeltaSupportsIncrementalExtend(instance, *base.model_, delta)) {
     return Status::FailedPrecondition(
         "delta is outside the incremental-extend contract (trimmed log, "
         "overflow write, constraint-attribute write, or a rule constant "
         "interned inside the window)");
   }
-
-  GroundedModel out = std::move(base);
-  CausalGraph& graph = out.graph_;
-  const Schema& schema = model.extended_schema();
-  // Same reset discipline as GroundModel: the stats describe this pass
-  // only, never a blend with the base grounding's timings.
-  out.phase_stats_ = GroundingPhaseStats{};
-  obs::MonotonicTimer phase_timer;
 
   // Per-predicate fact watermarks: rows >= watermark are the new facts.
   const size_t num_preds = instance.schema().num_predicates();
@@ -1056,168 +1110,22 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
     watermarks[f.predicate] = f.prior_rows;
   }
 
-  // 1. Splice nodes for the new fact rows of every attribute into the
-  // row-aligned per-attribute id columns (rule-added extras are promoted
-  // when a new row re-derives them).
-  phase_timer.Reset();
-  const size_t nodes_before = graph.num_nodes();
-  const size_t edges_before = graph.num_edges();
-  {
-    CARL_TRACE_SCOPE("grounding.extend.node_splice");
-    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.node_build"));
-    std::vector<CausalGraph::NodeBatch> batches;
-    std::vector<size_t> prior_rows;
-    for (const AttributeDef& attr : schema.attributes()) {
-      size_t prior = watermarks[attr.predicate];
-      if (prior < instance.NumRows(attr.predicate)) {
-        batches.push_back(
-            CausalGraph::NodeBatch{attr.id, instance.Rows(attr.predicate)});
-        prior_rows.push_back(prior);
-      }
-    }
-    graph.ExtendNodesBulk(batches, prior_rows);
-  }
-  out.phase_stats_.node_build_s = phase_timer.Seconds();
-
-  // 2. Re-enumerate only the bindings that touch the delta: one
-  // semi-naive plan per rule, pivot atoms watermark-restricted to new
-  // rows. No binding cache — delta tables must not collide with the full
-  // tables GroundModel caches under the same condition key.
-  phase_timer.Reset();
+  // Only the bindings that touch the delta: one semi-naive plan per rule,
+  // pivot atoms watermark-restricted to new rows. No binding cache —
+  // delta tables must not collide with the full tables GroundModel caches
+  // under the same condition key.
   QueryEvaluator evaluator(&instance);
-  std::vector<CompiledRule> compiled;
-  {
-    CARL_TRACE_SCOPE("grounding.extend.delta_plan");
-    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    auto enumerate = [&](const ConjunctiveQuery& where,
-                         const std::vector<std::string>& vars)
-        -> Result<std::shared_ptr<const BindingTable>> {
-      CARL_ASSIGN_OR_RETURN(PreparedDeltaQuery prepared,
-                            evaluator.PrepareDelta(where));
-      CARL_ASSIGN_OR_RETURN(
-          BindingTable table,
-          evaluator.EvaluateDelta(prepared, vars, watermarks));
-      return std::make_shared<const BindingTable>(std::move(table));
-    };
-    CARL_ASSIGN_OR_RETURN(compiled, CompileRules(instance, model, enumerate));
-  }
-  out.phase_stats_.enumerate_s = phase_timer.Seconds();
-
-  // 3. Merge the delta groundings in rule order through the graph's
-  // post-build edge overlay — the same probe-then-splice pipeline as a
-  // full ground. AddNode and the edge commit dedupe, so a binding the
-  // base already committed (its projection also has an all-old witness)
-  // changes nothing in the graph — only num_groundings_ counts it again,
-  // which is why the extend contract excludes that counter.
-  phase_timer.Reset();
-  {
-    CARL_TRACE_SCOPE("grounding.extend.splice");
-    CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
-    MergeAllRuleGroundings(compiled, ExecContext::Global(), &graph,
-                           &out.num_groundings_,
-                           &out.phase_stats_.splice_s);
-    CARL_RETURN_IF_ERROR(guard::CheckPoint());
-  }
-  out.phase_stats_.merge_s = phase_timer.Seconds();
-
-  // 4. Tag the new nodes of aggregate-defined attributes.
-  out.TagAggregateNodes(nodes_before);
-  const size_t n = graph.num_nodes();
-
-  // 5. Cycle check (the extension could close a cycle) — the order also
-  // drives the affected-aggregate recompute below.
-  phase_timer.Reset();
-  CARL_TRACE_SCOPE("grounding.extend.value_pass");
-  CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.finalize"));
-  CARL_ASSIGN_OR_RETURN(std::vector<NodeId> topo_order,
-                        graph.TopologicalOrder());
-
-  // 6. Values, delta-sized: new nodes read the instance; written rows
-  // refresh in place; aggregates recompute only when reachable from the
-  // change (new node, written row, or new-edge target) through aggregate
-  // children.
-  out.value_state_.resize(n, 1);
-  out.value_cache_.resize(n, 0.0);
-  auto slow_path = [&](NodeId id) {
-    const GroundedAttribute g = graph.node(id);
-    const Value* v = instance.FindAttributeValue(g.attribute, g.args.data(),
-                                                 g.args.size());
-    if (v != nullptr && v->is_numeric()) {
-      out.value_cache_[id] = v->AsDouble();
-      out.value_state_[id] = 2;
-    } else {
-      out.value_state_[id] = 1;
-    }
+  auto enumerate = [&](const ConjunctiveQuery& where,
+                       const std::vector<std::string>& vars)
+      -> Result<std::shared_ptr<const BindingTable>> {
+    CARL_ASSIGN_OR_RETURN(PreparedDeltaQuery prepared,
+                          evaluator.PrepareDelta(where));
+    CARL_ASSIGN_OR_RETURN(BindingTable table,
+                          evaluator.EvaluateDelta(prepared, vars, watermarks));
+    return std::make_shared<const BindingTable>(std::move(table));
   };
-  for (size_t id = nodes_before; id < n; ++id) {
-    if (!out.node_has_aggregate_[id]) slow_path(static_cast<NodeId>(id));
-  }
-  for (const InstanceDelta::AttributeDelta& ad : delta.attributes) {
-    const std::vector<NodeId>& nodes = graph.NodesOfAttribute(ad.attribute);
-    Instance::NumericColumn col = instance.NumericColumnOf(ad.attribute);
-    for (uint32_t row : ad.rows) {
-      if (row >= nodes.size()) continue;
-      NodeId id = nodes[row];
-      if (out.node_has_aggregate_[id]) continue;
-      if (row < col.num_rows && col.present[row]) {
-        out.value_cache_[id] = col.values[row];
-        out.value_state_[id] = 2;
-      } else {
-        slow_path(id);
-      }
-    }
-  }
-
-  std::vector<char> dirty(n, 0);
-  std::deque<NodeId> queue;
-  auto touch = [&](NodeId id) {
-    if (out.node_has_aggregate_[id] && !dirty[id]) {
-      dirty[id] = 1;
-      queue.push_back(id);
-    }
-  };
-  auto seed = [&](NodeId id) {
-    touch(id);
-    for (NodeId c : graph.Children(id)) touch(c);
-  };
-  for (size_t id = nodes_before; id < n; ++id) {
-    seed(static_cast<NodeId>(id));
-  }
-  for (const InstanceDelta::AttributeDelta& ad : delta.attributes) {
-    const std::vector<NodeId>& nodes = graph.NodesOfAttribute(ad.attribute);
-    for (uint32_t row : ad.rows) {
-      if (row < nodes.size()) seed(nodes[row]);
-    }
-  }
-  const std::vector<CausalGraph::Edge>& edge_log = graph.edge_log();
-  for (size_t e = edges_before; e < edge_log.size(); ++e) {
-    touch(edge_log[e].to);
-  }
-  while (!queue.empty()) {
-    NodeId id = queue.front();
-    queue.pop_front();
-    for (NodeId c : graph.Children(id)) touch(c);
-  }
-
-  std::vector<double> parent_values;
-  for (NodeId id : topo_order) {
-    if (!dirty[id]) continue;
-    parent_values.clear();
-    for (NodeId p : graph.Parents(id)) {
-      if (out.value_state_[p] == 2) {
-        parent_values.push_back(out.value_cache_[p]);
-      }
-    }
-    if (!parent_values.empty()) {
-      std::sort(parent_values.begin(), parent_values.end());
-      out.value_cache_[id] = ApplyAggregate(out.node_aggregate_[id],
-                                            parent_values);
-      out.value_state_[id] = 2;
-    } else {
-      out.value_state_[id] = 1;
-    }
-  }
-  out.phase_stats_.finalize_s = phase_timer.Seconds();
+  GroundedModel out = std::move(base);
+  CARL_RETURN_IF_ERROR(out.RunPass(watermarks, delta.attributes, enumerate));
   pass_hist.Record(pass_timer.Seconds());
   return out;
 }

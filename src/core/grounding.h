@@ -7,21 +7,22 @@
 // Aggregate rules add edges source-grounding -> aggregate-grounding and tag
 // the head nodes with their AggregateKind.
 //
-// Execution: GroundModel runs on ExecContext::Global(). Node creation is
-// bulk-built per attribute, rule bindings are enumerated in parallel
-// shards of the root atom's candidate rows as columnar BindingTables
-// (streamed straight into the node/edge merge — no per-binding Tuple is
-// ever built), and the rule merges run cross-rule parallel in the same
-// steps at every thread count, for ground and extend alike: one flat
-// probe pass resolves every rule's groundings against the bulk-built node
-// set concurrently (read-only FindNode, the hash-heavy part), a serial
-// pass interns the rare misses in rule order, the edges are filled in
-// parallel into one rule-ordered array, and one CausalGraph::AddEdges
-// commits it. Node values are finalized by copying the instance's typed
-// per-attribute columns onto the row-aligned node-id columns. Shard
-// outputs merge in shard order and edges commit in rule order, so the
-// grounded graph — node ids, edge insertion order, values — is identical
-// for every thread count.
+// Execution: GroundModel and ExtendGroundedModel are two entry points over
+// one pass on ExecContext::Global(); a ground is that pass over an empty
+// graph with every fact row new. Node creation is bulk-built per
+// attribute, rule bindings are enumerated in parallel shards of the root
+// atom's candidate rows as columnar BindingTables (streamed straight into
+// the node/edge merge — no per-binding Tuple is ever built), and the rule
+// merges run cross-rule parallel in the same steps at every thread count:
+// one flat probe pass resolves every rule's groundings against the
+// bulk-built node set concurrently (read-only FindNode, the hash-heavy
+// part), a serial pass interns the rare misses in rule order, the edges
+// are filled in parallel into one rule-ordered array, and one
+// CausalGraph::AddEdges commits it. Node values are refreshed by copying
+// the instance's typed per-attribute columns onto the row-aligned node-id
+// columns. Shard outputs merge in shard order and edges commit in rule
+// order, so the grounded graph — node ids, edge insertion order, values —
+// is identical for every thread count.
 //
 // Repeated groundings over one unchanged instance can share rule-condition
 // binding tables through a BindingCache (QuerySession owns one): a derived
@@ -31,6 +32,7 @@
 #ifndef CARL_CORE_GROUNDING_H_
 #define CARL_CORE_GROUNDING_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -100,17 +102,16 @@ class BindingCache {
   void Invalidate(const InstanceDelta& delta);
   void Clear();
 
-  /// Staging protocol for guarded passes: between BeginStaging and
+  /// Staging protocol for session passes: between BeginStaging and
   /// CommitStaging, Insert lands in a side buffer that Find still serves
   /// (so one pass reuses its own tables), but the committed entries are
   /// untouched. CommitStaging merges the buffer in insertion order;
-  /// AbortStaging drops it whole — after an aborted pass the cache is
+  /// AbortStaging drops it whole — after a failed pass the cache is
   /// pointer-identical to its pre-pass state (the no-poison invariant the
   /// fault-fuzz tests assert via SnapshotEntries).
   void BeginStaging() { staging_ = true; }
   void CommitStaging();
   void AbortStaging();
-  bool staging() const { return staging_; }
 
   /// Test hook: the committed entries as stable (key-id, table-pointer)
   /// pairs, sorted by key id. Pointer equality across two snapshots
@@ -119,17 +120,16 @@ class BindingCache {
       const;
 
   size_t size() const { return entries_.size(); }
-  /// Total arena bytes pinned by the cached tables.
-  size_t total_bytes() const { return total_bytes_; }
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
-  /// Entry capacity; inserting beyond it evicts the oldest entry.
-  void set_max_entries(size_t max) { max_entries_ = max == 0 ? 1 : max; }
-  /// Byte budget; oldest entries are evicted until the remainder fits.
-  /// A single table larger than the budget is still cached (alone).
-  void set_max_bytes(size_t max) { max_bytes_ = max; }
 
  private:
+  // Entry capacity; inserting beyond it evicts the oldest entry.
+  static constexpr size_t kMaxEntries = 64;
+  // Byte budget; oldest entries are evicted until the remainder fits. A
+  // single table larger than the budget is still cached (alone).
+  static constexpr size_t kMaxBytes = size_t{256} << 20;  // 256 MiB
+
   struct CacheEntry {
     std::shared_ptr<const BindingTable> table;
     BindingDeps deps;
@@ -140,14 +140,12 @@ class BindingCache {
   // Staged inserts: (key, entry) in insertion order, merged on commit.
   bool staging_ = false;
   std::vector<std::pair<BindingKeyId, CacheEntry>> staged_;
-  size_t max_entries_ = 64;
-  size_t max_bytes_ = size_t{256} << 20;  // 256 MiB
   size_t total_bytes_ = 0;
   size_t hits_ = 0;
   size_t misses_ = 0;
 };
 
-/// Wall-clock breakdown of one GroundModel call, for benches and phase
+/// Wall-clock breakdown of one ground or extend pass, for benches and phase
 /// regression tracking (a handful of steady_clock reads per pass).
 struct GroundingPhaseStats {
   double node_build_s = 0.0;  ///< step 1: bulk node build
@@ -162,6 +160,13 @@ struct GroundingPhaseStats {
   /// store: bulk nodes plus the rule merges).
   double graph_build_s() const { return node_build_s + merge_s; }
 };
+
+/// Enumerates one rule condition over its distinguished variables: the
+/// full binding table for a ground, the delta-restricted one for an
+/// extend.
+using BindingSource =
+    std::function<Result<std::shared_ptr<const BindingTable>>(
+        const ConjunctiveQuery& where, const std::vector<std::string>& vars)>;
 
 /// The grounded model: graph + per-node metadata + a numeric value view.
 class GroundedModel {
@@ -189,7 +194,7 @@ class GroundedModel {
   /// Number of grounded rule instantiations processed (diagnostics).
   size_t num_groundings() const { return num_groundings_; }
 
-  /// Phase timings of the GroundModel call that built this model.
+  /// Phase timings of the ground or extend pass that built this model.
   const GroundingPhaseStats& phase_stats() const { return phase_stats_; }
 
  private:
@@ -199,13 +204,24 @@ class GroundedModel {
   friend Result<GroundedModel> ExtendGroundedModel(GroundedModel,
                                                    const InstanceDelta&);
 
-  // Eagerly computes every node value: base attributes by copying the
-  // instance's typed per-attribute columns (the bulk-built node prefix of
-  // an attribute is row-aligned with its predicate's fact rows), with a
-  // FindAttributeValue fallback only for overflow-stored values and
-  // rule-added non-fact groundings; aggregates in topological order
-  // (parents first).
-  void FinalizeValues(const std::vector<NodeId>& topo_order);
+  // The one grounding pass behind GroundModel and ExtendGroundedModel:
+  // nodes for fact rows at or past each predicate's watermark, rule
+  // bindings from `enumerate` merged into nodes and edges, aggregate
+  // tags, the cycle check, and the value pass. A ground runs it on an
+  // empty graph with zero watermarks and no written rows.
+  Status RunPass(const std::vector<uint32_t>& watermarks,
+                 const std::vector<InstanceDelta::AttributeDelta>& written,
+                 const BindingSource& enumerate);
+
+  // The value pass of RunPass: refreshes every value the pass could have
+  // changed since it started at `nodes_before` nodes and `edges_before`
+  // edges — base values of fact rows at or past their watermark, of the
+  // `written` rows and of new non-fact nodes, then the aggregates a change
+  // reaches, in `topo_order`. On a fresh ground that is every value.
+  void UpdateValues(const std::vector<uint32_t>& watermarks,
+                    const std::vector<InstanceDelta::AttributeDelta>& written,
+                    size_t nodes_before, size_t edges_before,
+                    const std::vector<NodeId>& topo_order);
 
   // Sizes the aggregate tags to the graph and tags every node from
   // `first_node` on whose attribute an aggregate rule defines.

@@ -9,36 +9,6 @@ namespace carl {
 
 namespace {
 
-// Stages binding-cache inserts for the scope when a guard token is
-// installed: a guard-aborted GroundModel then leaves the cache
-// pointer-identical to its pre-query state (AbortStaging on unwind);
-// Commit() publishes the staged tables after the pass succeeded.
-// Unguarded passes bypass staging entirely — no behavior change.
-class StagedBindingCache {
- public:
-  explicit StagedBindingCache(BindingCache* cache)
-      : cache_(guard::CurrentToken() != nullptr ? cache : nullptr) {
-    if (cache_ != nullptr) cache_->BeginStaging();
-  }
-  ~StagedBindingCache() {
-    if (cache_ != nullptr) cache_->AbortStaging();
-  }
-  void Commit() {
-    if (cache_ != nullptr) {
-      cache_->CommitStaging();
-      cache_ = nullptr;
-    }
-  }
-
- private:
-  BindingCache* cache_;
-};
-
-uint64_t HashCombine(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4);
-  return h;
-}
-
 uint64_t HashString(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (unsigned char c : s) {
@@ -55,24 +25,6 @@ QuerySession::QuerySession(const Instance* instance) : instance_(instance) {
   binding_cache_generation_ = instance->generation();
 }
 
-uint64_t QuerySession::instance_fingerprint() const {
-  const Schema& schema = instance_->schema();
-  uint64_t h = 0x9ae16a3b2f90404full;
-  h = HashCombine(h, schema.num_predicates());
-  h = HashCombine(h, schema.num_attributes());
-  // The generation counter covers every mutation — fact insertions and
-  // attribute writes, including in-place value overwrites (which change
-  // no cardinality but would stale the NodeValues baked in at grounding
-  // time). O(1), so the cache-hit path stays cheap on large instances.
-  h = HashCombine(h, instance_->generation());
-  h = HashCombine(h, instance_->NumConstants());
-  return h;
-}
-
-uint64_t QuerySession::ModelFingerprint(const RelationalCausalModel& model) {
-  return HashString(model.ToString());
-}
-
 QuerySession::SessionStats QuerySession::SnapshotStats() const {
   SessionStats snapshot;
   snapshot.cache_hits =
@@ -81,10 +33,6 @@ QuerySession::SessionStats QuerySession::SnapshotStats() const {
       live_stats_.ground_full.load(std::memory_order_relaxed);
   snapshot.ground_extends =
       live_stats_.ground_extends.load(std::memory_order_relaxed);
-  snapshot.column_hits =
-      live_stats_.column_hits.load(std::memory_order_relaxed);
-  snapshot.column_misses =
-      live_stats_.column_misses.load(std::memory_order_relaxed);
   snapshot.ground_evictions =
       live_stats_.ground_evictions.load(std::memory_order_relaxed);
   return snapshot;
@@ -165,8 +113,7 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     if (extensible && delta.attributes.empty() &&
         FactsIrrelevantToGrounding(cached_model, delta)) {
       // The mutation cannot reach this model's graph; the cached
-      // grounding (and its value columns) is exactly what a re-ground
-      // would rebuild.
+      // grounding is exactly what a re-ground would rebuild.
       entry.grounded_generation = generation;
       live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       return entry.grounded;
@@ -192,7 +139,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
         holder->model = entry.holder->model;
         holder->grounded = std::move(*extended);
         InstallGrounding(&entry, std::move(holder), generation);
-        PruneColumns(&entry, delta);
         return entry.grounded;
       }
       if (guard::IsGuardStop(extended.status().code())) {
@@ -225,40 +171,18 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
                         "contract; re-grounding model from scratch";
     }
 
-    auto holder = std::make_shared<GroundingHolder>();
-    holder->model = entry.holder->model;
-    StagedBindingCache staged(&binding_cache_);
-    CARL_ASSIGN_OR_RETURN(
-        GroundedModel grounded,
-        GroundModel(*instance_, *holder->model, &binding_cache_));
-    staged.Commit();
-    live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
-    holder->grounded = std::move(grounded);
+    CARL_ASSIGN_OR_RETURN(std::shared_ptr<GroundingHolder> holder,
+                          GroundFull(entry.holder->model));
     InstallGrounding(&entry, std::move(holder), generation);
-    entry.columns.clear();
     return entry.grounded;
   }
 
-  // The grounding references the model copy by pointer, so both live in
-  // one holder and the handed-out shared_ptr aliases into it: however
-  // long any consumer keeps the grounding — across evictions, even past
-  // the session's destruction — the model copy stays alive with it.
-  auto holder = std::make_shared<GroundingHolder>();
-  holder->model = std::make_shared<RelationalCausalModel>(model);
-  StagedBindingCache staged(&binding_cache_);
   CARL_ASSIGN_OR_RETURN(
-      GroundedModel grounded,
-      GroundModel(*instance_, *holder->model, &binding_cache_));
-  staged.Commit();
-  live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
-  holder->grounded = std::move(grounded);
-
+      std::shared_ptr<GroundingHolder> holder,
+      GroundFull(std::make_shared<RelationalCausalModel>(model)));
   Entry entry;
   entry.model_text = model_text;
-  entry.holder = std::move(holder);
-  entry.grounded = std::shared_ptr<const GroundedModel>(
-      entry.holder, &entry.holder->grounded);
-  entry.grounded_generation = generation;
+  InstallGrounding(&entry, std::move(holder), generation);
   while (num_cached_groundings() >= max_cached_groundings_) {
     EvictOldestEntry();
   }
@@ -269,6 +193,30 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   return target.back().grounded;
 }
 
+Result<std::shared_ptr<QuerySession::GroundingHolder>>
+QuerySession::GroundFull(std::shared_ptr<const RelationalCausalModel> model) {
+  // The grounding references the model copy by pointer, so both live in
+  // one holder and the handed-out shared_ptr aliases into it: however
+  // long any consumer keeps the grounding — across evictions, even past
+  // the session's destruction — the model copy stays alive with it.
+  auto holder = std::make_shared<GroundingHolder>();
+  holder->model = std::move(model);
+  // A pass that fails for any reason (guard stop, cyclic grounding,
+  // unknown predicate) drops its staged tables whole, leaving the cache
+  // pointer-identical to its pre-pass state.
+  binding_cache_.BeginStaging();
+  Result<GroundedModel> grounded =
+      GroundModel(*instance_, *holder->model, &binding_cache_);
+  if (!grounded.ok()) {
+    binding_cache_.AbortStaging();
+    return grounded.status();
+  }
+  binding_cache_.CommitStaging();
+  live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
+  holder->grounded = std::move(*grounded);
+  return holder;
+}
+
 void QuerySession::InstallGrounding(Entry* entry,
                                     std::shared_ptr<GroundingHolder> holder,
                                     uint64_t generation) {
@@ -276,34 +224,6 @@ void QuerySession::InstallGrounding(Entry* entry,
   entry->grounded = std::shared_ptr<const GroundedModel>(
       entry->holder, &entry->holder->grounded);
   entry->grounded_generation = generation;
-}
-
-void QuerySession::PruneColumns(Entry* entry, const InstanceDelta& delta) {
-  if (entry->columns.empty()) return;
-  const GroundedModel& grounded = entry->holder->grounded;
-  const RelationalCausalModel& model = *entry->holder->model;
-  std::vector<char> written(grounded.schema().num_attributes(), 0);
-  for (const InstanceDelta::AttributeDelta& a : delta.attributes) {
-    if (static_cast<size_t>(a.attribute) < written.size()) {
-      written[a.attribute] = 1;
-    }
-  }
-  std::vector<char> aggregate_head(grounded.schema().num_attributes(), 0);
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    Result<AttributeId> aid =
-        grounded.schema().FindAttribute(rule.head.attribute);
-    if (aid.ok()) aggregate_head[*aid] = 1;
-  }
-  for (auto it = entry->columns.begin(); it != entry->columns.end();) {
-    AttributeId attr = it->first;
-    // Keep a column only when nothing about it could have moved: its
-    // attribute was not written, is not aggregate-defined (aggregate
-    // values may change through any parent), and its node-id column is
-    // bit-identical (the extend did not add or promote nodes there).
-    bool keep = !written[attr] && !aggregate_head[attr] &&
-                grounded.graph().NodesOfAttribute(attr) == it->second->nodes;
-    it = keep ? std::next(it) : entry->columns.erase(it);
-  }
 }
 
 void QuerySession::EvictOldestEntry() {
@@ -321,41 +241,6 @@ void QuerySession::EvictOldestEntry() {
     }
   }
   if (bucket.empty()) cache_.erase(bucket_it);
-}
-
-Result<std::shared_ptr<const AttributeValueColumn>> QuerySession::ValueColumn(
-    const std::shared_ptr<const GroundedModel>& grounded,
-    AttributeId attribute) {
-  if (grounded == nullptr) {
-    return Status::InvalidArgument("value column needs a grounding");
-  }
-  if (attribute == kInvalidAttribute ||
-      static_cast<size_t>(attribute) >=
-          grounded->schema().num_attributes()) {
-    return Status::NotFound("attribute unknown to the grounded schema");
-  }
-  for (auto& [key, bucket] : cache_) {
-    for (Entry& entry : bucket) {
-      if (entry.grounded != grounded) continue;
-      auto it = entry.columns.find(attribute);
-      if (it != entry.columns.end()) {
-        live_stats_.column_hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-      live_stats_.column_misses.fetch_add(1, std::memory_order_relaxed);
-      auto column = std::make_shared<AttributeValueColumn>();
-      column->attribute = attribute;
-      column->nodes = grounded->graph().NodesOfAttribute(attribute);
-      column->values.reserve(column->nodes.size());
-      for (NodeId n : column->nodes) {
-        column->values.push_back(grounded->NodeValue(n));
-      }
-      entry.columns.emplace(attribute, column);
-      return std::shared_ptr<const AttributeValueColumn>(column);
-    }
-  }
-  return Status::NotFound(
-      "grounding is not cached in this session (use QuerySession::Ground)");
 }
 
 }  // namespace carl

@@ -14,7 +14,7 @@
 // cheapest sound path:
 //   1. the delta cannot touch this model's graph (facts of predicates
 //      bearing no schema attribute and referenced by no rule atom) — the
-//      cached grounding is served as a hit, value columns intact;
+//      cached grounding is served as a hit;
 //   2. the delta is inside the incremental-extend contract
 //      (DeltaSupportsIncrementalExtend) — the cached graph is extended in
 //      delta-sized time (ExtendGroundedModel) instead of re-grounded;
@@ -22,16 +22,16 @@
 //   3. otherwise (trimmed log, overflow write, constraint-attribute
 //      write, new rule constant) — full re-ground.
 //
-// The session also memoizes per-attribute value columns (NodeValue over
-// NodesOfAttribute order) of cached groundings, for column-oriented
-// consumers like benches and stats exports — and a BindingCache of
-// rule-condition binding tables (columnar, see binding_table.h): when a
-// query derives an aggregate variant, the variant shares every base rule
-// with its parent model, so re-grounding it reuses the parent's binding
-// tables instead of re-running the joins. On mutation the binding cache
-// is invalidated per-dependency (only tables whose atom predicates or
-// constraint attributes were touched drop), and an extend/re-ground
-// drops only the value columns the delta could have changed.
+// Node values live only in the GroundedModel (NodeValue), refreshed by
+// the same pass that grounds or extends it. The session also keeps a
+// BindingCache of rule-condition binding tables (columnar, see
+// binding_table.h): when a query derives an aggregate variant, the
+// variant shares every base rule with its parent model, so re-grounding
+// it reuses the parent's binding tables instead of re-running the joins.
+// On mutation the binding cache is invalidated per-dependency (only
+// tables whose atom predicates or constraint attributes were touched
+// drop). Every full ground stages its inserts and commits them only when
+// the pass succeeds, so a failed pass leaves the cache untouched.
 //
 // Sessions are not thread-safe; share one per pipeline thread. Cached
 // GroundedModels reference a model copy owned by the session, so they
@@ -44,7 +44,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -54,14 +53,6 @@
 #include "core/grounding.h"
 
 namespace carl {
-
-/// One attribute's groundings and their (possibly missing) values, in
-/// NodesOfAttribute order.
-struct AttributeValueColumn {
-  AttributeId attribute = kInvalidAttribute;
-  std::vector<NodeId> nodes;
-  std::vector<std::optional<double>> values;
-};
 
 class QuerySession {
  public:
@@ -79,19 +70,12 @@ class QuerySession {
   Result<std::shared_ptr<const GroundedModel>> Ground(
       const RelationalCausalModel& model);
 
-  /// Memoized value column of `attribute` in a grounding previously
-  /// returned by Ground(). Fails on attributes unknown to the grounding's
-  /// schema.
-  Result<std::shared_ptr<const AttributeValueColumn>> ValueColumn(
-      const std::shared_ptr<const GroundedModel>& grounded,
-      AttributeId attribute);
-
   /// The session's cache counters — one per event, and the only copy:
   /// relaxed atomics, so this snapshot is safe to take from ANY thread,
   /// including while another thread (holding whatever external lock
-  /// serializes Ground/ValueColumn calls) is mutating the session. A
-  /// server reports per-session cache efficacy from it without stopping
-  /// the serving path. ground_full and ground_extends count *successful*
+  /// serializes Ground calls) is mutating the session. A server reports
+  /// per-session cache efficacy from it without stopping the serving
+  /// path. ground_full and ground_extends count *successful*
   /// passes only: a failed or guard-aborted Ground() leaves every field
   /// untouched, so ground_full + ground_extends is the number of
   /// groundings the session actually built.
@@ -99,8 +83,6 @@ class QuerySession {
     uint64_t cache_hits = 0;      ///< groundings served from cache
     uint64_t ground_full = 0;     ///< successful from-scratch grounds
     uint64_t ground_extends = 0;  ///< successful incremental extends
-    uint64_t column_hits = 0;
-    uint64_t column_misses = 0;
     uint64_t ground_evictions = 0;
   };
   SessionStats SnapshotStats() const;
@@ -112,24 +94,12 @@ class QuerySession {
   /// Cache capacity in distinct groundings; inserting beyond it evicts
   /// the oldest entry (FIFO). Engines holding a shared_ptr to an evicted
   /// grounding keep it alive; only future reuse is lost.
-  size_t max_cached_groundings() const { return max_cached_groundings_; }
   void set_max_cached_groundings(size_t max) {
     max_cached_groundings_ = max == 0 ? 1 : max;
   }
 
   /// Cached grounding count (distinct model variants).
   size_t num_cached_groundings() const;
-
-  /// Fingerprint of the instance: schema/constant cardinalities plus the
-  /// instance's mutation generation counter. O(1); any mutation — fact
-  /// insertions and attribute writes, including in-place value
-  /// overwrites — changes it. Diagnostics only: cache freshness is
-  /// tracked per entry through generations and deltas, not through this
-  /// fingerprint.
-  uint64_t instance_fingerprint() const;
-
-  /// Stable fingerprint of a model's full rule set (serialized form).
-  static uint64_t ModelFingerprint(const RelationalCausalModel& model);
 
  private:
   // A grounding and the model copy it references, owned together: the
@@ -145,20 +115,18 @@ class QuerySession {
     std::shared_ptr<GroundingHolder> holder;
     std::shared_ptr<const GroundedModel> grounded;  // aliases holder
     uint64_t grounded_generation = 0;  // instance state of the grounding
-    std::unordered_map<AttributeId,
-                       std::shared_ptr<const AttributeValueColumn>>
-        columns;
   };
 
   void EvictOldestEntry();
+  // Grounds `model` from scratch through the staged binding cache: the
+  // staged tables commit only when the pass succeeds. Ticks ground_full
+  // on success.
+  Result<std::shared_ptr<GroundingHolder>> GroundFull(
+      std::shared_ptr<const RelationalCausalModel> model);
   // Installs a freshly grounded/extended model into `entry`, re-aliasing
   // the handed-out pointer.
   void InstallGrounding(Entry* entry, std::shared_ptr<GroundingHolder> holder,
                         uint64_t generation);
-  // After an extend, drops only the value columns the delta could have
-  // changed: written attributes, attributes whose node column moved, and
-  // aggregate-defined attributes.
-  void PruneColumns(Entry* entry, const InstanceDelta& delta);
 
   const Instance* instance_;
   BindingCache binding_cache_;
@@ -175,8 +143,6 @@ class QuerySession {
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> ground_full{0};
     std::atomic<uint64_t> ground_extends{0};
-    std::atomic<uint64_t> column_hits{0};
-    std::atomic<uint64_t> column_misses{0};
     std::atomic<uint64_t> ground_evictions{0};
   };
   LiveStats live_stats_;

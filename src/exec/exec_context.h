@@ -10,9 +10,9 @@
 // primitive merges chunk results in chunk-index order. Code built on these
 // primitives therefore produces identical results for any thread count,
 // including 1. A serial context runs every primitive inline on the calling
-// thread; binding enumeration and the grounding merge also take a
-// single-threaded path when `serial()` is true, with results identical to
-// their parallel paths.
+// thread; binding enumeration also takes a single-threaded path when
+// `serial()` is true, with results identical to its parallel path. The
+// grounding merge runs the same steps at every thread count.
 
 #ifndef CARL_EXEC_EXEC_CONTEXT_H_
 #define CARL_EXEC_EXEC_CONTEXT_H_

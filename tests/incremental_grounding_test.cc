@@ -8,11 +8,13 @@
 // extend contract) — at CARL_THREADS 1 and 4, with the two extend chains
 // bit-identical to each other. Also pins down the QuerySession delta
 // policy (hit / extend / full re-ground counters, scoped binding-cache
-// and value-column invalidation) and every documented fallback out of
-// the extend contract: overflow writes, constraint-attribute writes,
-// rule-named constants interned inside the window, and a trimmed delta
-// log. The concurrent-reader test exercises the lazy CSR overlay
-// recompaction under racing readers and is the TSan CI leg's target.
+// invalidation, values refreshed by the extend itself), the promotion of
+// a non-fact node into the row-aligned node column when its fact
+// arrives, and every documented fallback out of the extend contract:
+// overflow writes, constraint-attribute writes, rule-named constants
+// interned inside the window, and a trimmed delta log. The
+// concurrent-reader test exercises the lazy CSR overlay recompaction
+// under racing readers and is the TSan CI leg's target.
 
 #include <gtest/gtest.h>
 
@@ -301,10 +303,9 @@ TEST(IncrementalSessionTest, RelevantMutationExtendsCachedGrounding) {
   EXPECT_TRUE(Canonicalize(**g5) == Canonicalize(*fresh));
 }
 
-// Satellite regression: mutating a relation that bears no attribute and
-// appears in no rule must not disturb the session's caches — same
-// grounding object, binding-cache entries intact, memoized value columns
-// still served by pointer.
+// Mutating a relation that bears no attribute and appears in no rule
+// must not disturb the session's caches — same grounding object,
+// binding-cache entries intact.
 TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
   Schema schema;
   CARL_CHECK_OK(schema.AddEntity("Person").status());
@@ -331,11 +332,6 @@ TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
   ASSERT_TRUE(g1.ok()) << g1.status();
   const size_t cached_tables = session.binding_cache().size();
   ASSERT_GT(cached_tables, 0u);
-  Result<AttributeId> age = schema.FindAttribute("Age");
-  ASSERT_TRUE(age.ok());
-  Result<std::shared_ptr<const AttributeValueColumn>> col1 =
-      session.ValueColumn(*g1, *age);
-  ASSERT_TRUE(col1.ok());
 
   // Owns bears no attribute and no rule mentions it: adding such facts
   // cannot change the grounded graph, so this is the irrelevant-delta
@@ -350,27 +346,65 @@ TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
   EXPECT_EQ(session.SnapshotStats().ground_full, 1u);
   EXPECT_EQ(session.binding_cache().size(), cached_tables)
       << "scoped invalidation dropped a binding table with disjoint deps";
-  Result<std::shared_ptr<const AttributeValueColumn>> col2 =
-      session.ValueColumn(*g2, *age);
-  ASSERT_TRUE(col2.ok());
-  EXPECT_EQ(col1->get(), col2->get())
-      << "memoized value column dropped on an irrelevant mutation";
-  EXPECT_GT(session.SnapshotStats().column_hits, 0u);
 
-  // A write to Age IS relevant: the extend serves the miss, and the Age
-  // column must be rebuilt (stale values would be silently wrong).
+  // A write to Age IS relevant: the extend serves the miss and refreshes
+  // the written row's value (a stale value would be silently wrong).
   CARL_CHECK_OK(db.SetAttribute("Age", {"bo"}, Value(55.0)));
   Result<std::shared_ptr<const GroundedModel>> g3 = session.Ground(*model);
   ASSERT_TRUE(g3.ok());
   EXPECT_EQ(session.SnapshotStats().ground_extends, 1u);
-  Result<std::shared_ptr<const AttributeValueColumn>> col3 =
-      session.ValueColumn(*g3, *age);
-  ASSERT_TRUE(col3.ok());
-  EXPECT_NE(col1->get(), col3->get());
+  Result<AttributeId> age = schema.FindAttribute("Age");
+  ASSERT_TRUE(age.ok());
   const CausalGraph& graph = (*g3)->graph();
   NodeId bo = graph.FindNode(*age, Tuple{db.LookupConstant("bo")});
   ASSERT_NE(bo, kInvalidNode);
   EXPECT_EQ((*g3)->NodeValue(bo), std::optional<double>(55.0));
+}
+
+// A node added for a tuple that is not (yet) a fact sits past its
+// attribute's row-aligned prefix. When that fact arrives, the extend's
+// node step must promote the existing node into the row slot of the new
+// fact row — not mint a duplicate — and keep the other extras after the
+// prefix in their original order. Rules cannot create such a node
+// (validation adds every ref's unit atom to the rule condition, so a
+// binding only ever names fact tuples), so the graph is driven directly.
+TEST(IncrementalGroundingTest, ExtendNodesBulkPromotesExtraNodeToItsFactRow) {
+  Schema schema;
+  CARL_CHECK_OK(schema.AddEntity("Person").status());
+  CARL_CHECK_OK(
+      schema.AddAttribute("Age", "Person", true, ValueType::kDouble).status());
+  Result<AttributeId> age = schema.FindAttribute("Age");
+  ASSERT_TRUE(age.ok());
+  Result<PredicateId> person = schema.FindPredicate("Person");
+  ASSERT_TRUE(person.ok());
+  Instance db(&schema);
+  CARL_CHECK_OK(db.AddFact("Person", {"p"}));
+
+  CausalGraph graph;
+  graph.AddNodesBulk({CausalGraph::NodeBatch{*age, db.Rows(*person)}},
+                     ExecContext::Global());
+  const NodeId p = graph.FindNode(*age, Tuple{db.LookupConstant("p")});
+  const NodeId q = graph.AddNode(*age, Tuple{db.Intern("q")});
+  const NodeId r = graph.AddNode(*age, Tuple{db.Intern("r")});
+  ASSERT_EQ(graph.NodesOfAttribute(*age), (std::vector<NodeId>{p, q, r}));
+
+  const size_t prior_rows = db.NumRows(*person);
+  CARL_CHECK_OK(db.AddFact("Person", {"q"}));
+  CARL_CHECK_OK(db.AddFact("Person", {"s"}));
+  graph.ExtendNodesBulk({CausalGraph::NodeBatch{*age, db.Rows(*person)}},
+                        {prior_rows});
+
+  EXPECT_EQ(graph.num_nodes(), 4u) << "promotion minted a duplicate node";
+  EXPECT_EQ(graph.FindNode(*age, Tuple{db.LookupConstant("q")}), q);
+  const NodeId s = graph.FindNode(*age, Tuple{db.LookupConstant("s")});
+  ASSERT_NE(s, kInvalidNode);
+  // Row-aligned prefix [p, q, s], then the surviving extra r.
+  EXPECT_EQ(graph.NodesOfAttribute(*age), (std::vector<NodeId>{p, q, s, r}));
+  const RelationView rows = db.Rows(*person);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(graph.NodesOfAttribute(*age)[i], graph.FindNode(*age, rows[i]))
+        << "row " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
